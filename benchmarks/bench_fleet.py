@@ -2,28 +2,17 @@
 
 The paper runs one controller per PoP with no cross-PoP coordination;
 this bench proves the repo can carry a realistic fleet of them on a
-single machine, three ways over the same seeded workload:
+single machine, two ways over the same seeded workload:
 
 - **serial** — every PoP stepped in-process; the ground truth.
 - **pool** — the persistent worker pool: workers forked once, stepped
   through every segment with their live state intact, state pickled
   back through one final ``collect()``.  Must be **byte-identical** to
   serial (records, per-PoP telemetry, merged registry).
-- **fork-per-run** — the legacy parallel path (``pool=False``).  Its
-  workers restart from the parent's frozen image on every call, so the
-  only correct way it can produce the fleet's state after each segment
-  (what the segmented workload observes) is to replay the run from the
-  start: segment *k* costs *k* segments of compute plus a fresh fleet
-  fork and a full state pickle-back.  That quadratic replay is exactly
-  what the persistent pool's live workers eliminate.
 
-The ``--min-speedup`` gate (acceptance bar: 3x) compares pool vs
-fork-per-run wall clock over the segmented run; ``--max-regression``
-gates the pool wall clock against the committed
-``BENCH_fleet_baseline.json``.  Single-core machines understate the
-pool further (its workers also timeslice one core, where serial pays no
-scheduling cost at all), so the speedup gate measures pool vs
-fork-per-run, not pool vs serial.
+``--max-regression`` gates the pool wall clock against the committed
+``BENCH_fleet_baseline.json``.  Pool vs serial wall clock is reported,
+not gated: the ratio is a property of how many cores the host has.
 
 ``--shared-substrate`` benches the zero-copy worker memory story
 instead: the same fleet is run through the fork pool (workers inherit
@@ -137,7 +126,6 @@ def run_bench(
     build_started = time.perf_counter()
     serial = _build(pops, seed, tick_seconds)
     pooled = _build(pops, seed, tick_seconds)
-    forked = _build(pops, seed, tick_seconds)
     build_wall = time.perf_counter() - build_started
     start = next(
         iter(serial.deployments.values())
@@ -156,25 +144,7 @@ def run_bench(
     pool_wall = time.perf_counter() - started
     pooled.close_pool()
 
-    # Fork-per-run can only produce correct state at a segment
-    # boundary by replaying from the start (workers restart from the
-    # parent's frozen image, so stepping it segment-by-segment would
-    # yield garbage): checkpoint k costs k segments of compute, a
-    # fleet fork and a full state pickle-back.
-    started = time.perf_counter()
-    for index in range(segments):
-        forked.run(
-            start,
-            (index + 1) * seg_seconds,
-            parallel=workers,
-            pool=False,
-        )
-    fork_per_run_wall = time.perf_counter() - started
-
     mismatches = _compare(pooled, serial)
-    speedup = (
-        fork_per_run_wall / pool_wall if pool_wall > 0 else None
-    )
     return {
         "workload": (
             f"pops={pops},segments={segments},"
@@ -188,14 +158,10 @@ def run_bench(
         "seed": seed,
         "byte_identical": not mismatches,
         "mismatches": mismatches[:10],
-        "parallel_fallbacks": _fallbacks(pooled, forked),
+        "parallel_fallbacks": _fallbacks(pooled),
         "build_wall_seconds": round(build_wall, 2),
         "serial_wall_seconds": round(serial_wall, 2),
         "pool_wall_seconds": round(pool_wall, 2),
-        "fork_per_run_wall_seconds": round(fork_per_run_wall, 2),
-        "pool_vs_fork_per_run_speedup": (
-            round(speedup, 2) if speedup else None
-        ),
         "total_offered_bps": serial.total_offered().bits_per_second,
     }
 
@@ -380,13 +346,6 @@ def main(argv=None) -> int:
         "BENCH_fleet_substrate_baseline.json with --shared-substrate)",
     )
     parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        help="fail unless the pool beats fork-per-run by this factor "
-        "(the acceptance bar is 3)",
-    )
-    parser.add_argument(
         "--min-rss-reduction",
         type=float,
         default=None,
@@ -443,22 +402,9 @@ def main(argv=None) -> int:
         f"pool:          {results['pool_wall_seconds']:.2f} s "
         "(1 fork, 1 collect)"
     )
-    print(
-        f"fork-per-run:  {results['fork_per_run_wall_seconds']:.2f} s "
-        f"({segments} forks, cumulative replay per checkpoint)"
-    )
-    print(
-        "pool vs fork-per-run: "
-        f"{results['pool_vs_fork_per_run_speedup']}x"
-    )
     print(f"wrote {output}")
 
     failed = _check_shared_gates(results)
-    failed |= check_minimum(
-        results["pool_vs_fork_per_run_speedup"],
-        args.min_speedup,
-        "pool speedup",
-    )
     failed |= check_regression(
         results["pool_wall_seconds"],
         baseline_wall,

@@ -1,13 +1,10 @@
-"""Analysis helpers: CDFs, result rendering, and perf instrumentation."""
+"""Analysis helpers: CDFs and result rendering."""
 
 from .cdf import Cdf
-from .perf import PerfRecorder, PerfSnapshot
 from .report import Series, Table, format_value, render_all
 
 __all__ = [
     "Cdf",
-    "PerfRecorder",
-    "PerfSnapshot",
     "Series",
     "Table",
     "format_value",

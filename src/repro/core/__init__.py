@@ -9,7 +9,6 @@ from .injector import BgpInjector
 from .inputs import ControllerInputs, InputAssembler
 from .monitoring import ControllerMonitor, CycleReport
 from .overrides import Override, OverrideDiff, OverrideSet
-from .perfaware import PerformanceAwarePass
 from .pipeline import PopDeployment, RunRecord, TickSummary
 from .projection import Placement, Projection, project
 from .steering import (
@@ -40,7 +39,6 @@ __all__ = [
     "Override",
     "OverrideDiff",
     "OverrideSet",
-    "PerformanceAwarePass",
     "PopDeployment",
     "RunRecord",
     "TickSummary",

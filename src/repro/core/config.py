@@ -40,12 +40,6 @@ class ControllerConfig:
     perf_improvement_threshold_ms: float = 20.0
     #: Cap on how many prefixes the perf-aware pass may move per cycle.
     perf_moves_per_cycle: int = 50
-    #: How performance-aware steering decides: ``"closed_loop"`` runs
-    #: the per-⟨prefix, path⟩ GREEN/YELLOW/RED state machine in
-    #: :mod:`repro.core.steering`; ``"one_shot"`` is the escape hatch
-    #: back to the paper's §5 single-pass detour logic, byte-identical
-    #: to the pre-v2 behavior.
-    steering_mode: str = "closed_loop"
     #: Consecutive bad-vote cycles before a key trips GREEN/YELLOW→RED
     #: (fast to protect).
     steering_trip_cycles: int = 2
@@ -127,11 +121,6 @@ class ControllerConfig:
     #: rebuilding the projection from scratch and reconciling the
     #: incrementally-maintained loads against it.
     full_recompute_every: int = 16
-    #: Hysteresis on per-interface projected load: a rate delta smaller
-    #: than this fraction of the interface's *threshold band* does not
-    #: mark the interface dirty for reallocation (tiny sampling jitter
-    #: must not re-run the allocator).  0 disables hysteresis.
-    projection_hysteresis_fraction: float = 0.0
     #: Relative load disagreement between the incremental projection and
     #: a full rebuild that counts as drift (ulp-scale float accumulation
     #: differences sit far below this).
@@ -165,10 +154,6 @@ class ControllerConfig:
             raise ControllerError(
                 "full_recompute_every must be at least 1"
             )
-        if not 0.0 <= self.projection_hysteresis_fraction < 1.0:
-            raise ControllerError(
-                "projection_hysteresis_fraction must be in [0, 1)"
-            )
         if self.drift_tolerance < 0.0:
             raise ControllerError("drift_tolerance cannot be negative")
         if self.resubscribe_initial_seconds <= 0:
@@ -190,10 +175,6 @@ class ControllerConfig:
         if self.aggregate_min_length_v6 < 0:
             raise ControllerError(
                 "aggregate_min_length_v6 cannot be negative"
-            )
-        if self.steering_mode not in ("closed_loop", "one_shot"):
-            raise ControllerError(
-                "steering_mode must be 'closed_loop' or 'one_shot'"
             )
         if self.steering_trip_cycles < 1:
             raise ControllerError(

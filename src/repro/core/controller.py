@@ -34,7 +34,6 @@ from .injector import BgpInjector
 from .inputs import InputAssembler
 from .monitoring import ControllerMonitor, CycleReport
 from .overrides import OverrideDiff, OverrideSet
-from .perfaware import PerformanceAwarePass
 from .projection import IncrementalProjection, project
 from .steering import SteeringEngine
 
@@ -79,14 +78,9 @@ class EdgeFabricController:
         #: would carry.  The safety checker compares this against
         #: thresholds; empty until a cycle has run.
         self.last_final_loads: Dict = {}
-        # Incremental-engine state: the maintained projection, the last
-        # allocation (reusable while the projection certifies nothing
-        # allocation-relevant moved), the override targets it was
-        # computed against, and how many delta cycles have run since the
-        # last full reconciliation.
+        # Incremental-engine state: the maintained projection and how
+        # many delta cycles have run since the last full reconciliation.
         self._incremental: Optional[IncrementalProjection] = None
-        self._cached_allocation = None
-        self._cached_targets: Optional[Dict[Prefix, str]] = None
         self._cycles_since_full = 0
         #: Interfaces whose incrementally-maintained load disagreed with
         #: the last full reconciliation beyond ``config.drift_tolerance``
@@ -102,13 +96,11 @@ class EdgeFabricController:
                 "performance_aware requires an AltPathMonitor"
             )
         self.telemetry = telemetry or Telemetry(name=assembler.pop.name)
-        #: The closed-loop steering engine (v2).  None when the feature
-        #: is off or the ``one_shot`` escape hatch routes performance
-        #: moves through the legacy single-pass logic instead.
+        #: The closed-loop steering engine; None unless
+        #: ``config.performance_aware``.
         self.steering: Optional[SteeringEngine] = (
             SteeringEngine(config, telemetry=self.telemetry)
             if config.performance_aware
-            and config.steering_mode == "closed_loop"
             else None
         )
         registry = self.telemetry.registry
@@ -152,7 +144,7 @@ class EdgeFabricController:
             "controller_cycle_path_total",
             "Cycles by decision path: full (engine off), rebuild "
             "(reconciliation / fallback), delta (incremental "
-            "projection + fresh allocation), reuse (cached allocation)",
+            "projection + fresh allocation)",
             ("path",),
         )
         self._m_drift_max = registry.gauge(
@@ -231,30 +223,18 @@ class EdgeFabricController:
             },
         )
         perf_moves = 0
-        if self.config.performance_aware and self.altpath is not None:
-            if self.steering is not None:
-                perf_moves = len(
-                    self.steering.run(
-                        now,
-                        allocation.detours,
-                        allocation.final_loads,
-                        inputs,
-                        self.altpath,
-                        self.assembler.pop,
-                        utilization_of=utilization_of,
-                    )
+        if self.steering is not None:
+            perf_moves = len(
+                self.steering.run(
+                    now,
+                    allocation.detours,
+                    allocation.final_loads,
+                    inputs,
+                    self.altpath,
+                    self.assembler.pop,
+                    utilization_of=utilization_of,
                 )
-            else:
-                perf_pass = PerformanceAwarePass(
-                    pop=self.assembler.pop,
-                    config=self.config,
-                    altpath=self.altpath,
-                )
-                perf_moves = len(
-                    perf_pass.extend(
-                        allocation.detours, allocation.final_loads, inputs
-                    )
-                )
+            )
 
         diff = self.overrides.reconcile(allocation.detours, now)
         self.last_diff = diff
@@ -359,12 +339,6 @@ class EdgeFabricController:
         - ``delta``: only dirty prefixes are re-placed, then the
           allocator runs against the maintained projection (cost
           proportional to overloaded-interface work, not table size).
-        - ``reuse``: the projection certifies nothing the allocator
-          could act on moved since the cached allocation — no
-          structural placement change, no threshold crossing, load
-          jitter within the hysteresis band — so last cycle's result
-          is returned as-is.  With hysteresis 0 this requires
-          bit-identical loads, making reuse exact.
         """
         previous_targets = self.overrides.active_targets()
         self.last_drift = {}
@@ -411,26 +385,9 @@ class EdgeFabricController:
             else:
                 path = "delta"
 
-        if (
-            path == "delta"
-            and self._cached_allocation is not None
-            and self._cached_targets == previous_targets
-            and not self.config.performance_aware
-            and incremental.allocation_still_valid(
-                inputs.capacities,
-                self.config.utilization_threshold,
-                self.config.projection_hysteresis_fraction,
-            )
-        ):
-            self._m_cycle_path.labels(path="reuse").inc()
-            return self._cached_allocation, "reuse"
-
         allocation = self.allocator.allocate(
             incremental, inputs, previous_targets=previous_targets
         )
-        incremental.mark_allocated()
-        self._cached_allocation = allocation
-        self._cached_targets = dict(previous_targets)
         self._m_cycle_path.labels(path=path).inc()
         return allocation, path
 
@@ -486,8 +443,6 @@ class EdgeFabricController:
         self._stale_cycles = 0
         self.last_final_loads = {}
         self._incremental = None
-        self._cached_allocation = None
-        self._cached_targets = None
         self._cycles_since_full = 0
         self.last_drift = {}
         self.last_diff = None

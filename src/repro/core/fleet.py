@@ -90,21 +90,6 @@ def _capture_state(deployment: PopDeployment) -> _PopRunState:
     )
 
 
-# Fork-inherited arguments for _run_pop_worker.  Deployments are
-# unpicklable, so workers receive them by inheriting the parent's memory
-# image at fork time rather than through the Pool's argument pipe.
-_WORKER_FLEET: Optional["FleetDeployment"] = None
-_WORKER_RUN_ARGS: Optional[Tuple[float, float, bool]] = None
-
-
-def _run_pop_worker(name: str) -> Tuple[str, _PopRunState]:
-    assert _WORKER_FLEET is not None and _WORKER_RUN_ARGS is not None
-    deployment = _WORKER_FLEET.deployments[name]
-    start, duration, run_controller = _WORKER_RUN_ARGS
-    deployment.run(start, duration, run_controller=run_controller)
-    return name, _capture_state(deployment)
-
-
 def _serve_pool_commands(connection, deployments: Dict[str, PopDeployment], names) -> None:
     """The pool worker command loop, shared by the fork and substrate
     pools: ``run`` steps the partition, ``collect`` pickles its state
@@ -146,8 +131,7 @@ def _pool_worker(connection, fleet: "FleetDeployment", names) -> None:
     The worker inherits its deployments (with all their live
     routing/dataplane state) at fork time and keeps them across
     commands, so successive ``run`` commands continue the simulation
-    exactly as serial stepping would — unlike fork-per-run, where each
-    run restarted from the parent's frozen pre-run image.
+    exactly as serial stepping would.
     """
     _serve_pool_commands(connection, fleet.deployments, names)
 
@@ -563,7 +547,6 @@ class FleetDeployment:
         duration: float,
         run_controller: bool = True,
         parallel: Optional[int] = None,
-        pool: bool = True,
         sync: bool = True,
         substrate: bool = False,
     ) -> None:
@@ -576,17 +559,15 @@ class FleetDeployment:
         monitors, override sets, metrics, telemetry) match the serial
         run exactly.
 
-        By default parallel runs use a *persistent* pool: workers are
-        forked once, keep their deployments' live routing/dataplane
-        state across calls, and successive ``run`` calls continue the
-        simulation exactly as serial stepping would.  ``sync=False``
-        defers the state pickle-back until :meth:`collect` — the cheap
-        mode for many-segment benchmark runs.  ``pool=False`` falls back
-        to the legacy fork-per-run path (whole-run semantics only: live
-        state stays at pre-run values, so never run it twice).
+        Parallel runs use a *persistent* pool: workers are forked once,
+        keep their deployments' live routing/dataplane state across
+        calls, and successive ``run`` calls continue the simulation
+        exactly as serial stepping would.  ``sync=False`` defers the
+        state pickle-back until :meth:`collect` — the cheap mode for
+        many-segment benchmark runs.
 
-        ``substrate=True`` (pool mode only) runs the pool on the shared
-        read-only substrate: workers are *spawned* rather than forked,
+        ``substrate=True`` runs the pool on the shared read-only
+        substrate: workers are *spawned* rather than forked,
         rebuild only their partition, and map the fleet's read-mostly
         bulk from one :class:`FrozenTable` in shared memory — the
         zero-copy mode whose per-worker RSS ``bench_fleet
@@ -604,31 +585,26 @@ class FleetDeployment:
             and parallel > 1
             and len(self.deployments) > 1
         ):
-            if pool:
-                worker_pool = None
-                if substrate:
-                    worker_pool = self._ensure_substrate_pool(parallel)
-                    if worker_pool is None:
-                        self._note_parallel_fallback(
-                            parallel,
-                            reason=(
-                                "substrate pool unavailable (needs a "
-                                "built, unstepped fleet and the spawn "
-                                "start method); using the fork pool"
-                            ),
-                        )
+            worker_pool = None
+            if substrate:
+                worker_pool = self._ensure_substrate_pool(parallel)
                 if worker_pool is None:
-                    worker_pool = self._ensure_pool(parallel)
-                if worker_pool is not None:
-                    worker_pool.command(
-                        ("run", start, duration, run_controller)
+                    self._note_parallel_fallback(
+                        parallel,
+                        reason=(
+                            "substrate pool unavailable (needs a "
+                            "built, unstepped fleet and the spawn "
+                            "start method); using the fork pool"
+                        ),
                     )
-                    if sync:
-                        self.collect()
-                    return
-            elif self._run_parallel(
-                start, duration, run_controller, parallel
-            ):
+            if worker_pool is None:
+                worker_pool = self._ensure_pool(parallel)
+            if worker_pool is not None:
+                worker_pool.command(
+                    ("run", start, duration, run_controller)
+                )
+                if sync:
+                    self.collect()
                 return
             self._note_parallel_fallback(parallel)
         now = start
@@ -760,42 +736,13 @@ class FleetDeployment:
         if state.steering is not None:
             deployment.controller.steering = state.steering
 
-    def _run_parallel(
-        self,
-        start: float,
-        duration: float,
-        run_controller: bool,
-        workers: int,
-    ) -> bool:
-        """Fork-per-run parallel run; False if fork is unavailable."""
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            return False
-        global _WORKER_FLEET, _WORKER_RUN_ARGS
-        _WORKER_FLEET = self
-        _WORKER_RUN_ARGS = (start, duration, run_controller)
-        try:
-            with context.Pool(
-                min(workers, len(self.deployments))
-            ) as pool:
-                results = pool.map(
-                    _run_pop_worker, list(self.deployments)
-                )
-        finally:
-            _WORKER_FLEET = None
-            _WORKER_RUN_ARGS = None
-        for name, state in results:
-            self._merge_state(name, state)
-        return True
-
     # -- aggregation ----------------------------------------------------------------
 
     def merged_registry(self) -> MetricsRegistry:
         """One fleet-wide registry: every PoP's series, labelled by PoP.
 
         Works identically after serial and parallel runs (workers carry
-        their telemetry back through the merge in ``_run_parallel``), so
+        their telemetry back through :meth:`collect`), so
         fleet dashboards need no knowledge of how the run executed.
         """
         return merge_registries(

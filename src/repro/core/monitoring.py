@@ -43,9 +43,9 @@ class CycleReport:
     perf_moves: int = 0
     runtime_seconds: float = 0.0
     #: Which decision path produced this cycle: "full" (incremental
-    #: engine off), "rebuild" (reconciliation or delta fallback),
-    #: "delta" (incremental projection + fresh allocation), or "reuse"
-    #: (cached allocation revalidated).  "" on skipped cycles.
+    #: engine off), "rebuild" (reconciliation or delta fallback) or
+    #: "delta" (incremental projection + fresh allocation).  "" on
+    #: skipped cycles.
     decision_path: str = ""
     #: Routes actually held by the injector after this cycle.  Equal to
     #: the active override count normally; under aggregated injection

@@ -55,8 +55,8 @@ class OverrideSet:
         #: (prefix, session, started, ended) for every finished override.
         self.completed: List[Tuple[Prefix, str, float, float]] = []
         # active_targets() is read twice per cycle (stability input and
-        # the reuse check) but only changes on reconcile/flush; cache
-        # the derived dict between mutations.
+        # the aggregated install) but only changes on reconcile/flush;
+        # cache the derived dict between mutations.
         self._targets_cache: Dict[Prefix, str] | None = None
 
     def active(self) -> Dict[Prefix, Override]:

@@ -354,9 +354,6 @@ class PopDeployment:
             )
 
         self.record = RunRecord(telemetry=self.telemetry)
-        #: Optional :class:`repro.analysis.perf.PerfRecorder`; when set,
-        #: every step's wall time and every cycle's runtime is recorded.
-        self.perf = None
         self._last_cycle_at: Optional[float] = None
         self._tick_index = 0
         self._resolve_cache: Dict = {}
@@ -513,7 +510,6 @@ class PopDeployment:
 
     def step(self, now: float, run_controller: bool = True) -> TickResult:
         """Advance the deployment one tick to time *now*."""
-        perf = self.perf
         step_started = _time.perf_counter()
         self.current_time = now
         faults = self.faults
@@ -552,8 +548,6 @@ class PopDeployment:
         wall = _time.perf_counter() - step_started
         self._m_ticks.inc()
         self._m_tick_wall.observe(wall)
-        if perf is not None:
-            perf.record_tick(wall)
         return result
 
     def _control_phase(
@@ -599,8 +593,6 @@ class PopDeployment:
             report = self.controller.run_cycle(now, utilization_of=util)
             self.record.cycle_reports.append(report)
             self._last_cycle_at = now
-            if self.perf is not None:
-                self.perf.record_cycle(report.runtime_seconds)
             if self.safety is not None:
                 self.safety.check(now, report)
             if self.health is not None:
@@ -645,8 +637,6 @@ class PopDeployment:
         wall = _time.perf_counter() - step_started
         self._m_ticks.inc()
         self._m_tick_wall.observe(wall)
-        if self.perf is not None:
-            self.perf.record_tick(wall)
         return report
 
     def _utilization_snapshot(self) -> Dict:

@@ -97,14 +97,6 @@ class IncrementalProjection:
     :meth:`overloaded`) plus the mutation half: :meth:`rebuild` replays
     the full table with arithmetic identical to :func:`project`, and
     :meth:`apply` re-places only a snapshot's dirty prefixes.
-
-    Beyond the projection itself it tracks what the *allocator* would
-    care about: whether any placement changed structurally (appeared,
-    vanished, moved interface, changed route, or saw route churn that
-    could change its alternates) since :meth:`mark_allocated`, and how
-    much absolute load each interface accumulated since then.  The
-    controller uses those to decide whether last cycle's allocation is
-    still exactly (or, with hysteresis, acceptably) valid.
     """
 
     #: Initial interface-column capacity; doubles on demand.
@@ -132,10 +124,6 @@ class IncrementalProjection:
         self._sorted_cache: Dict[InterfaceKey, List[Placement]] = {}
         self._unplaceable_bps: Dict[Prefix, float] = {}
         self._unplaceable_total = 0.0
-        # Reuse-band state, reset by mark_allocated():
-        self._structural_change = True
-        self._abs_delta_bps: Dict[InterfaceKey, float] = {}
-        self._band_loads_bps: Dict[InterfaceKey, float] = {}
 
     def _invalidate_columns(self) -> None:
         """Drop every id-indexed structure (interner consumer hook)."""
@@ -270,7 +258,6 @@ class IncrementalProjection:
                 self._by_interface[key] = holders
             holders[prefix] = placement
         self._unplaceable_total = unplaceable_total
-        self._structural_change = True
         drift: Dict[InterfaceKey, float] = {}
         if had_state:
             count = len(self._ifaces)
@@ -300,7 +287,6 @@ class IncrementalProjection:
         dirty = inputs.dirty_prefixes
         if dirty is None:
             raise ValueError("apply() needs an incremental snapshot")
-        route_dirty = inputs.route_dirty_prefixes or frozenset()
         traffic = inputs.traffic
         for prefix in sorted(dirty):
             old = self.placements.pop(prefix, None)
@@ -325,7 +311,6 @@ class IncrementalProjection:
                 if stale is not None:
                     self._unplaceable_total -= stale
             rate = traffic.get(prefix)
-            new: Optional[Placement] = None
             if rate is not None:
                 routes = inputs.routes_of(prefix)
                 if not routes:
@@ -353,103 +338,6 @@ class IncrementalProjection:
                         self._by_interface[key] = holders
                     holders[prefix] = new
                     self._sorted_cache.pop(key, None)
-            self._note_change(prefix, old, new, prefix in route_dirty)
-
-    def _note_change(
-        self,
-        prefix: Prefix,
-        old: Optional[Placement],
-        new: Optional[Placement],
-        route_dirty: bool,
-    ) -> None:
-        """Classify one re-placement for the allocation-reuse band.
-
-        Anything that could change the *decisions* a fresh allocator
-        pass would make is structural: placements appearing/vanishing,
-        moving interface, switching preferred route, or route churn on
-        a placed prefix (its alternate list feeds detour selection).
-        A pure rate change on an unchanged placement only widens the
-        interface's accumulated jitter.
-        """
-        if old is None and new is None:
-            # Untrafficked prefix (route churn with no measured rate, or
-            # rate expiring to zero with nothing placed): invisible to
-            # the allocator.
-            return
-        if (
-            old is None
-            or new is None
-            or old.interface != new.interface
-            or old.route != new.route
-            or route_dirty
-        ):
-            self._structural_change = True
-            for placement in (old, new):
-                if placement is not None:
-                    delta = self._abs_delta_bps
-                    delta[placement.interface] = (
-                        delta.get(placement.interface, 0.0)
-                        + placement.rate.bits_per_second
-                    )
-            return
-        jitter = abs(
-            new.rate.bits_per_second - old.rate.bits_per_second
-        )
-        if jitter > 0.0:
-            delta = self._abs_delta_bps
-            delta[new.interface] = (
-                delta.get(new.interface, 0.0) + jitter
-            )
-
-    # -- allocation-reuse band -------------------------------------------------
-
-    def mark_allocated(self) -> None:
-        """Record that the allocator just ran against this projection."""
-        self._structural_change = False
-        self._abs_delta_bps = {}
-        table = self._ifaces.keys
-        unboxed = self._loads_col.tolist()
-        self._band_loads_bps = {
-            table[slot]: unboxed[slot]
-            for slot in np.nonzero(self._live)[0].tolist()
-        }
-
-    def allocation_still_valid(
-        self,
-        capacities: Dict[InterfaceKey, Rate],
-        threshold: float,
-        hysteresis_fraction: float,
-    ) -> bool:
-        """Would a fresh allocator pass necessarily decide the same?
-
-        True only when, since :meth:`mark_allocated`, no structural
-        placement change happened, no interface crossed the detour
-        threshold in either direction, and every interface's accumulated
-        absolute load movement stays within ``hysteresis_fraction`` of
-        its threshold limit.  With hysteresis 0 that means the load
-        floats are untouched, so reusing the cached allocation is *exact*;
-        with hysteresis > 0 it tolerates bounded sampling jitter at the
-        cost of equally bounded staleness in the reused decisions.
-        """
-        if self._structural_change:
-            return False
-        band = self._band_loads_bps
-        for key in self._abs_delta_bps:
-            capacity = capacities.get(key)
-            if capacity is None or capacity.is_zero():
-                continue
-            limit = capacity.bits_per_second * threshold
-            slot = self._ifaces.id_of(key)
-            if slot is not None and self._live[slot]:
-                now_bps = self._loads_col[slot].item()
-            else:
-                now_bps = 0.0
-            then_bps = band.get(key, 0.0)
-            if (now_bps > limit) != (then_bps > limit):
-                return False
-            if self._abs_delta_bps[key] > hysteresis_fraction * limit:
-                return False
-        return True
 
 
 def project(pop: PoP, inputs: ControllerInputs) -> Projection:

@@ -1,9 +1,8 @@
 """Closed-loop performance-aware steering: the GREEN/YELLOW/RED engine.
 
-The paper's §5 pass (kept in :mod:`repro.core.perfaware` behind the
-``steering_mode="one_shot"`` escape hatch) is open-loop: every cycle it
-re-ranks the alternate-path comparisons and detours whatever currently
-clears the improvement threshold.  Deployed Edge Fabric moved past that
+The paper's §5 pass is open-loop: every cycle it re-ranks the
+alternate-path comparisons and detours whatever currently clears the
+improvement threshold.  Deployed Edge Fabric moved past that
 to *continuous* performance-aware steering, and this module is that
 controller: a per-⟨prefix, preferred-path⟩ state machine in the mold of
 closed-loop CAKE steering controllers —
@@ -199,9 +198,9 @@ class SteeringEngine:
     ) -> List[Detour]:
         """Observe one cycle's measurements and steer RED keys.
 
-        Mutates *detours*/*loads* exactly like the one-shot pass (so the
-        reconcile/inject path downstream is unchanged) and returns the
-        detours steering added.  *utilization_of* is the dataplane's
+        Mutates *detours*/*loads* in place (the reconcile/inject path
+        downstream sees one detour table) and returns the detours
+        steering added.  *utilization_of* is the dataplane's
         per-interface utilization view, passed per call so the engine
         stays picklable; ``None`` makes the queue signal abstain.
         """
@@ -434,7 +433,7 @@ class SteeringEngine:
     def _steer(
         self, prefix, preferred, target, detours, loads, inputs, pop
     ) -> Optional[Detour]:
-        """Install a RED key's detour, with the one-shot pass's guards."""
+        """Install a RED key's detour if the guards allow it."""
         config = self.config
         if prefix in detours:
             return None  # capacity detours take precedence

@@ -21,10 +21,10 @@ is that watcher for the reproduction.  Once per controller cycle the
 
 The engine is strictly an observer: it never touches steering state, so
 runs with it on and off are byte-identical in every decision — the
-property the integration tests and the hot-path bench gate assert.  It
-is also plain picklable data (no closures, no open files), so fleet
-workers carry their engines back to the parent like the rest of
-telemetry.
+property ``tests/obs/test_health.py`` asserts together with its cost
+bound.  It is also plain picklable data (no closures, no open files),
+so fleet workers carry their engines back to the parent like the rest
+of telemetry.
 """
 
 from __future__ import annotations
@@ -555,7 +555,7 @@ class HealthEngine:
         self.transitions: List[AlertTransition] = []
         self.cycles = 0
         #: Wall-clock seconds this engine has spent observing — the
-        #: numerator of the <=5% overhead gate in the hot-path bench.
+        #: numerator of the <=5% overhead gate in ``tests/obs``.
         self.overhead_seconds = 0.0
         # Monitor state.
         self._last_resets = 0

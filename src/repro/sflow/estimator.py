@@ -6,9 +6,8 @@ an average over roughly the last minute of traffic, long enough to smooth
 sampling noise, short enough to track demand shifts).
 
 Every derived statistic is defensive about empty or single-sample
-windows, in the same spirit as :func:`repro.analysis.perf.percentile`: a
-fault that starves the collector for an interval (datagram loss, an
-agent flap) must read as "rate 0, no samples", never as a
+windows: a fault that starves the collector for an interval (datagram
+loss, an agent flap) must read as "rate 0, no samples", never as a
 ``ZeroDivisionError`` inside the controller's input path.
 """
 

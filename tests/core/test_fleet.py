@@ -166,9 +166,8 @@ def _build_pair():
 
 class TestWorkerPool:
     def test_multi_segment_pool_matches_serial(self):
-        """Successive run() calls continue the simulation — the property
-        fork-per-run could never offer (workers restarted from the
-        parent's frozen image every call)."""
+        """Successive run() calls continue the simulation: workers keep
+        their deployments' live state between commands."""
         serial, pooled, start = _build_pair()
         try:
             serial.run(start, 600.0)
@@ -242,6 +241,3 @@ class TestWorkerPool:
                 degraded.deployments[name].record.ticks
                 == serial_pop.record.ticks
             )
-        # The legacy fork-per-run path degrades through the same funnel.
-        degraded.run(start + 120.0, 60.0, parallel=2, pool=False)
-        assert fallback.value() == 2.0

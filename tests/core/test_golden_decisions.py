@@ -1,18 +1,14 @@
 """Golden decisions: recorded oracles for refactors that must not
 change what the controller decides.
 
-Each run below is reduced to one sha256 over every cycle's discrete
-decision fields and the sorted active override targets.  No computed
-float enters the hash, so it is stable across CPUs; ``decision_path``
-is deliberately left out, so a change to *how* a decision is reached
-(collapsing two paths into one) keeps the digest while a change to
-*what* is decided breaks it.  The digests in
-``tests/fixtures/golden_decisions.json`` are recorded at the commit
-before such a refactor and must still match after it.
+Each run is one sha256 over every cycle's discrete decision fields and
+sorted active override targets.  No computed float enters the hash, so
+it is stable across CPUs; ``decision_path`` is left out, so changing
+*how* a decision is reached keeps the digest and changing *what* is
+decided breaks it.  Re-record ``tests/fixtures/golden_decisions.json``
+only when a decision is meant to change::
 
-Re-record (only when a decision is meant to change)::
-
-    PYTHONPATH=src python tests/core/test_golden_decisions.py
+    PYTHONPATH=src python -m tests.core.test_golden_decisions
 """
 
 import hashlib
@@ -23,14 +19,12 @@ import pytest
 
 from repro.core.config import ControllerConfig
 from repro.core.pipeline import PopDeployment
-from repro.core.scale import ScaleConfig, ScaleScenario
+from repro.core.scale import ScaleScenario
 from repro.faults import FaultInjector, FaultPlan, build_chaos_deployment
 
-FIXTURE = (
-    Path(__file__).resolve().parent.parent
-    / "fixtures"
-    / "golden_decisions.json"
-)
+from .test_incremental_engine import small_config
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "golden_decisions.json"
 
 
 def _cycle_fields(report, targets) -> bytes:
@@ -52,15 +46,7 @@ def _cycle_fields(report, targets) -> bytes:
 
 def _scale_digest(churn_fraction: float) -> str:
     # 20 cycles cross one periodic reconciliation (every 16th cycle).
-    config = ScaleConfig(
-        prefix_count=400,
-        cycles=20,
-        seed=11,
-        pni_count=2,
-        tight_pni_count=1,
-        tight_prefix_share=0.1,
-        churn_fraction=churn_fraction,
-    )
+    config = small_config(cycles=20, churn_fraction=churn_fraction)
     result = ScaleScenario(config).run()
     assert result.violations == 0
     digest = hashlib.sha256()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.allocator import Detour
 from repro.core.controller import EdgeFabricController
-from repro.core.perfaware import PerformanceAwarePass
 from repro.core.steering import (
     TIER_GREEN,
     TIER_RED,
@@ -16,12 +15,26 @@ from repro.core.steering import (
     SteeringEngine,
 )
 from repro.measurement.altpath import AltPathMonitor
+from repro.measurement.pathmodel import PathModelConfig, PathPerformanceModel
 from repro.netbase.units import Rate, gbps
 from repro.obs.telemetry import Telemetry
 
 from .helpers import MiniPop, P_CONE, P_CONE2, default_config
 from .test_controller import Harness
-from .test_perfaware import ForcedModel
+
+
+class ForcedModel(PathPerformanceModel):
+    """Path model whose offsets we control per session suffix."""
+
+    def __init__(self, offsets):
+        super().__init__(PathModelConfig(seed=0))
+        self._offsets = offsets
+
+    def path_offset_ms(self, prefix, session_name):
+        for needle, offset in self._offsets.items():
+            if needle in session_name:
+                return offset
+        return 0.0
 
 
 @pytest.fixture()
@@ -155,15 +168,18 @@ class TestVotingAndTiers:
         assert [v.signal for v in state.last_votes] == ["rtt", "retransmit"]
 
     def test_healthy_path_stays_green(self, mini):
-        engine, monitor, _ = build_engine(
-            mini, {}, steering_votes_to_trip=1
-        )
-        for cycle in range(5):
-            added, _, _ = run_cycle(
-                engine, mini, monitor, cycle * 30.0, {P_CONE: gbps(2)}
+        # No gap at all, and a 5 ms gap under the 20 ms trip line.
+        for offsets in ({}, {"AS65003": -5.0}):
+            engine, monitor, _ = build_engine(
+                mini, offsets, steering_votes_to_trip=1
             )
-            assert added == []
-        assert engine.state_of(P_CONE, mini.private.name).tier == TIER_GREEN
+            for cycle in range(5):
+                added, _, _ = run_cycle(
+                    engine, mini, monitor, cycle * 30.0, {P_CONE: gbps(2)}
+                )
+                assert added == []
+            state = engine.state_of(P_CONE, mini.private.name)
+            assert state.tier == TIER_GREEN
 
 
 class TestHysteresis:
@@ -453,13 +469,12 @@ class TestLifecycle:
 
 
 class TestModeDispatch:
-    """The controller arms the engine (or the escape hatch) correctly."""
+    """The controller arms the engine correctly."""
 
-    def _controller(self, mode, offsets=None, **overrides):
+    def _controller(self, offsets=None, **overrides):
         harness = Harness()
         config = default_config(
             performance_aware=True,
-            steering_mode=mode,
             steering_votes_to_trip=1,
             steering_trip_cycles=1,
             steering_ewma_alpha=1.0,
@@ -486,48 +501,15 @@ class TestModeDispatch:
         return harness, controller, monitor
 
     def test_closed_loop_arms_engine(self):
-        _, controller, _ = self._controller("closed_loop")
+        harness, controller, _ = self._controller()
         assert isinstance(controller.steering, SteeringEngine)
-
-    def test_one_shot_escape_hatch(self):
-        _, controller, _ = self._controller("one_shot")
-        assert controller.steering is None
-
-    def test_one_shot_mode_matches_legacy_pass_exactly(self):
-        # The escape hatch must reproduce the §5 one-shot pass verbatim:
-        # the overrides a one_shot controller installs are exactly what
-        # PerformanceAwarePass.extend computes on the same snapshot.
-        harness, controller, monitor = self._controller(
-            "one_shot", offsets={"AS65003": -40.0}
-        )
-        traffic = {P_CONE: gbps(2), P_CONE2: gbps(2)}
-        harness.feed_traffic(traffic, now=10.0)
-        monitor.measure_round([P_CONE, P_CONE2])
-
-        perf_pass = PerformanceAwarePass(
-            pop=harness.mini.pop,
-            config=controller.config,
-            altpath=monitor,
-        )
-        expected_detours, expected_loads = {}, {}
-        perf_pass.extend(
-            expected_detours,
-            expected_loads,
-            controller.assembler.snapshot(10.0),
-        )
-
-        controller.run_cycle(10.0)
-        got = controller.overrides.active_targets()
-        want = {
-            prefix: detour.target.source.name
-            for prefix, detour in expected_detours.items()
-        }
-        assert got == want
-        assert want  # the legacy pass did steer something
+        # Armed exactly when performance_aware: the default harness
+        # controller has no engine.
+        assert harness.controller.steering is None
 
     def test_closed_loop_steers_through_full_cycle(self):
         harness, controller, monitor = self._controller(
-            "closed_loop", offsets={"AS65003": -40.0}
+            offsets={"AS65003": -40.0}
         )
         harness.feed_traffic({P_CONE: gbps(2)}, now=10.0)
         monitor.measure_round([P_CONE])
@@ -540,7 +522,7 @@ class TestModeDispatch:
         assert state.tier == TIER_RED
 
     def test_crash_resets_engine(self):
-        _, controller, _ = self._controller("closed_loop")
+        _, controller, _ = self._controller()
         controller.steering._state_for(str(P_CONE), "s")
         controller.crash(0.0)
         assert controller.steering.states() == []
