@@ -127,7 +127,9 @@ class LocRib:
         self._injected = 0
         # Per-prefix count of injected holder routes, kept in a trie so
         # "which injected prefix covers this target" is one LPM walk
-        # instead of a scan.  Aggregated override resolution keys on it.
+        # and "which injected prefixes sit under this one" a subtree
+        # walk, instead of scans of the route table.  Aggregated
+        # override resolution and split-override forwarding key on it.
         self._injected_map: PrefixMap[int] = PrefixMap()
         # Decision-ranked route lists per prefix, invalidated per-prefix
         # on churn: the controller re-reads every prefix's ranking each
@@ -321,14 +323,22 @@ class LocRib:
             return None
         return self._best_cache.get(found[0])
 
-    def more_specifics(self, covering: Prefix) -> List[Route]:
-        """Best routes of prefixes strictly more specific than *covering*."""
+    def injected_under(self, covering: Prefix) -> List[Route]:
+        """Injected best routes of prefixes strictly under *covering*.
+
+        Walks the injected-prefix trie, not the RIB: a prefix whose best
+        route is injected holds an injected route, so the (few) entries
+        of ``_injected_map`` under *covering* are the only candidates.
+        Pre-order, like every trie walk here.
+        """
         out: List[Route] = []
-        for prefix, _holders in self._by_prefix.covered_by(covering):
+        if not self._injected:
+            return out
+        for prefix, _count in self._injected_map.subtree(covering):
             if prefix == covering:
                 continue
             best = self._best_cache.get(prefix)
-            if best is not None:
+            if best is not None and best.is_injected:
                 out.append(best)
         return out
 

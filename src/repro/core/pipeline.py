@@ -317,6 +317,16 @@ class PopDeployment:
         )
         self.altpath_every_ticks = altpath_every_ticks
         self.altpath_prefix_count = altpath_prefix_count
+        # The sample store's declared bound, observable: keys <=
+        # measured prefixes x measured ranks, samples <= keys x
+        # max_samples_per_key (DESIGN.md §14).
+        self._m_altpath_keys = self.telemetry.registry.gauge(
+            "altpath_keys", "Measured (prefix, path) keys held"
+        )
+        self._m_altpath_samples = self.telemetry.registry.gauge(
+            "altpath_samples_retained",
+            "Flow samples retained across all alt-path keys",
+        )
 
         # Control: injector + controller.
         self.injector = BgpInjector(
@@ -583,6 +593,9 @@ class PopDeployment:
         ):
             targets = self.demand.top_prefixes(self.altpath_prefix_count)
             self.altpath.measure_round(targets, utilization_of=util)
+            keys, samples = self.altpath.monitor.size()
+            self._m_altpath_keys.set(keys)
+            self._m_altpath_samples.set(samples)
 
         report = None
         if (

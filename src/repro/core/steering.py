@@ -166,8 +166,10 @@ class SteeringEngine:
         self._states: "OrderedDict[Tuple[str, str], PathHealth]" = (
             OrderedDict()
         )
-        #: (prefix, session) → [rtt_ewma, retx_ewma] for alternates.
-        self._alt_ewma: Dict[Tuple[str, str], List[Optional[float]]] = {}
+        #: prefix → path of its one live key in ``_states``.
+        self._path_of: Dict[str, str] = {}
+        #: prefix → session → [rtt_ewma, retx_ewma] for alternates.
+        self._alt_ewma: Dict[str, Dict[str, List[Optional[float]]]] = {}
         self.transitions: List[TierTransition] = []
         self._m_tier = None
         self._m_transitions = None
@@ -476,14 +478,15 @@ class SteeringEngine:
             # changed underneath the loop: the old key's judgement does
             # not transfer, so it is dropped and the new one starts
             # GREEN.
-            for other in [
-                k for k in self._states if k[0] == prefix and k != key
-            ]:
-                del self._states[other]
+            stale = self._path_of.get(prefix)
+            if stale is not None:
+                del self._states[(prefix, stale)]
             if len(self._states) >= self.config.steering_max_keys:
-                self._states.popitem(last=False)
+                evicted, _state = self._states.popitem(last=False)
+                del self._path_of[evicted[0]]
             state = PathHealth(prefix=prefix, path=path)
             self._states[key] = state
+            self._path_of[prefix] = path
         else:
             self._states.move_to_end(key)
         return state
@@ -492,14 +495,13 @@ class SteeringEngine:
         """Lowest-RTT measured alternate, EWMA-smoothed; None without data."""
         alpha = self.config.steering_ewma_alpha
         best = None
+        slots = self._alt_ewma.setdefault(prefix_str, {})
         for route in alternates:
             session = route.source.name
             stats = stats_by_session.get(session)
             if stats is None:
                 continue
-            slot = self._alt_ewma.setdefault(
-                (prefix_str, session), [None, None]
-            )
+            slot = slots.setdefault(session, [None, None])
             slot[0] = _ewma(slot[0], stats.median_rtt_ms, alpha)
             slot[1] = _ewma(slot[1], stats.retransmit_rate, alpha)
             candidate = (slot[0], session, route, slot[1])
@@ -512,12 +514,9 @@ class SteeringEngine:
     def _prune(self, seen) -> None:
         """Drop keys that no longer have routes or measurements."""
         for key in [k for k in self._states if k not in seen]:
-            prefix_str = key[0]
             del self._states[key]
-            for alt_key in [
-                k for k in self._alt_ewma if k[0] == prefix_str
-            ]:
-                del self._alt_ewma[alt_key]
+            del self._path_of[key[0]]
+            self._alt_ewma.pop(key[0], None)
 
     def _export_tiers(self) -> None:
         if self._m_tier is None:
@@ -529,6 +528,7 @@ class SteeringEngine:
     def reset(self) -> None:
         """Forget every key (controller crash: in-memory state is lost)."""
         self._states.clear()
+        self._path_of.clear()
         self._alt_ewma.clear()
         self.transitions = []
         self.cycles = 0

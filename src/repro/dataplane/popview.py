@@ -9,10 +9,11 @@ through PR sessions like any other route and win on LOCAL_PREF, so the
 view's best path *is* the PoP's forwarding decision.
 
 The view also memoizes the dataplane's hottest query — prefix to
-(best route, egress interface) — keyed on the RIB's mutation counter, so
-the per-tick forwarding loop costs one dict probe per prefix between
-route changes and stays exactly equivalent to a fresh decision after
-any churn.
+(best route, egress interface) plus the injected more-specifics that
+split traffic off it — keyed on the RIB's mutation counter, so the
+per-tick forwarding loop costs one dict probe per prefix between route
+changes and stays exactly equivalent to a fresh decision after any
+churn.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ class PopView:
     def __init__(self, speakers: Iterable[BgpSpeaker]) -> None:
         self.rib = LocRib()
         self._speakers = list(speakers)
-        # prefix -> (best route, egress interface) | None, valid only
-        # while the RIB version matches _egress_version.
+        # prefix -> ((best route, egress interface) | None, injected
+        # more-specifics), valid only while the RIB version matches
+        # _egress_version.
         self._egress_cache: Dict[
-            Prefix, Optional[Tuple[Route, InterfaceKey]]
+            Prefix,
+            Tuple[Optional[Tuple[Route, InterfaceKey]], Tuple[Route, ...]],
         ] = {}
         self._route_egress: Dict[Route, InterfaceKey] = {}
         self._egress_version = -1
@@ -86,17 +89,11 @@ class PopView:
         When the controller announces a more-specific of a demanded
         prefix, longest-prefix match diverts that subnet's share of the
         traffic — the splitting mechanism the paper describes for
-        prefixes too large to move whole.  With zero injected routes in
-        the RIB (the common case) this returns immediately, without a
-        trie walk.
+        prefixes too large to move whole.  The walk is over the RIB's
+        injected-prefix trie (a handful of entries), never the route
+        table, and returns immediately with zero injected routes.
         """
-        if self.rib.injected_route_count == 0:
-            return []
-        return [
-            route
-            for route in self.rib.more_specifics(covering)
-            if route.is_injected
-        ]
+        return self.rib.injected_under(covering)
 
     # -- cached egress resolution ---------------------------------------------
 
@@ -112,9 +109,20 @@ class PopView:
     ) -> Optional[Tuple[Route, InterfaceKey]]:
         """Cached prefix -> (best route, egress interface) resolution.
 
-        Returns None for unrouted prefixes.  Invalidation is wholesale
-        on any RIB mutation: churn is rare relative to ticks, and a full
-        rebuild keeps the cache provably equal to a fresh decision.
+        Returns None for unrouted prefixes.
+        """
+        return self.resolve_forwarding(prefix, pop)[0]
+
+    def resolve_forwarding(
+        self, prefix: Prefix, pop: PoP
+    ) -> Tuple[Optional[Tuple[Route, InterfaceKey]], Tuple[Route, ...]]:
+        """Cached prefix -> (:meth:`resolve_egress`,
+        :meth:`injected_specifics` as a tuple) — everything the
+        forwarding loop needs for one demanded prefix, in one dict probe.
+
+        Invalidation is wholesale on any RIB mutation: churn is rare
+        relative to ticks, and a full rebuild keeps the cache provably
+        equal to a fresh decision.
         """
         self._check_cache_version()
         try:
@@ -134,7 +142,8 @@ class PopView:
             if covering is not None:
                 best = covering
         entry = (
-            None if best is None else (best, egress_interface(pop, best))
+            None if best is None else (best, egress_interface(pop, best)),
+            tuple(self.injected_specifics(prefix)),
         )
         self._egress_cache[prefix] = entry
         return entry

@@ -138,11 +138,11 @@ class PopSimulator:
         """Advance the dataplane to time *now* and forward one interval.
 
         The per-prefix loop is the simulator's hottest code: egress
-        resolution is memoized in the :class:`PopView` (invalidated on
-        route churn), injected-specific lookups short-circuit when no
-        overrides exist, and all accumulation happens on plain
-        bits/second floats — :class:`Rate` objects are built once per
-        interface at the end, not once per addition.
+        resolution and the injected-specifics lookup are memoized
+        together in the :class:`PopView` (invalidated on route churn),
+        and all accumulation happens on plain bits/second floats —
+        :class:`Rate` objects are built once per interface at the end,
+        not once per addition.
         """
         span_started = _time.perf_counter()
         view = self.view
@@ -155,33 +155,30 @@ class PopSimulator:
             router: [] for router in self.agents
         }
         unrouted_bps = 0.0
-        check_specifics = view.has_injected_routes()
         for prefix, rate in rates.items():
-            resolved = view.resolve_egress(prefix, pop)
+            resolved, specifics = view.resolve_forwarding(prefix, pop)
             if resolved is None:
                 unrouted_bps += rate
                 continue
             best, key = resolved
             remaining = rate
-            if check_specifics:
-                specifics = view.injected_specifics(prefix)
-                if specifics:
-                    # Injected more-specifics capture their LPM share of
-                    # the prefix's (address-uniform) traffic.
-                    shares, remainder = split_shares(prefix, specifics)
-                    diverted: List[Tuple[Route, float]] = []
-                    for route, fraction in shares:
-                        sub_rate = rate * fraction
-                        sub_key = view.egress_of(route, pop)
-                        loads_bps[sub_key] = (
-                            loads_bps.get(sub_key, 0.0) + sub_rate
-                        )
-                        per_router_flows[sub_key[0]].append(
-                            (prefix, sub_rate, sub_key[1])
-                        )
-                        diverted.append((route, sub_rate))
-                    splits_bps[prefix] = diverted
-                    remaining = rate * remainder
+            if specifics:
+                # Injected more-specifics capture their LPM share of
+                # the prefix's (address-uniform) traffic.
+                shares, remainder = split_shares(prefix, specifics)
+                diverted: List[Tuple[Route, float]] = []
+                for route, fraction in shares:
+                    sub_rate = rate * fraction
+                    sub_key = view.egress_of(route, pop)
+                    loads_bps[sub_key] = (
+                        loads_bps.get(sub_key, 0.0) + sub_rate
+                    )
+                    per_router_flows[sub_key[0]].append(
+                        (prefix, sub_rate, sub_key[1])
+                    )
+                    diverted.append((route, sub_rate))
+                splits_bps[prefix] = diverted
+                remaining = rate * remainder
             assignments[prefix] = best
             loads_bps[key] = loads_bps.get(key, 0.0) + remaining
             per_router_flows[key[0]].append((prefix, remaining, key[1]))

@@ -2,11 +2,7 @@
 
 from .altpath import AltPathComparison, AltPathMonitor, DscpPolicy
 from .passive import PassiveMonitor, PathStats
-from .pathmodel import (
-    FlowMeasurement,
-    PathModelConfig,
-    PathPerformanceModel,
-)
+from .pathmodel import PathModelConfig, PathPerformanceModel
 
 __all__ = [
     "AltPathComparison",
@@ -14,7 +10,6 @@ __all__ = [
     "DscpPolicy",
     "PassiveMonitor",
     "PathStats",
-    "FlowMeasurement",
     "PathModelConfig",
     "PathPerformanceModel",
 ]

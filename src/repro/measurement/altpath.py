@@ -115,7 +115,7 @@ class AltPathMonitor:
                 utilization = utilization_of(
                     self.egress_interface_of(route)
                 )
-                flows = self.model.sample_flows(
+                rtts, retx = self.model.sample_flows(
                     prefix,
                     route.source.name,
                     utilization,
@@ -123,7 +123,7 @@ class AltPathMonitor:
                     self._rng,
                     preferred=(rank == 0),
                 )
-                self.monitor.record(prefix, route.source.name, flows)
+                self.monitor.record(prefix, route.source.name, rtts, retx)
                 measured += 1
         return measured
 

@@ -17,19 +17,22 @@ this reproduction substitutes a generative model with the observed shape:
 The static part is a pure function of (seed, prefix, session), so any
 component can ask "what would this path's RTT be" and get a consistent
 answer — which is what makes the performance-aware routing experiments
-reproducible.
+reproducible.  Being pure in a frozen config, each static value is
+derived once per key and remembered (one entry per prefix or
+⟨prefix, session⟩ ever asked about).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..netbase.addr import Prefix
 
-__all__ = ["PathModelConfig", "FlowMeasurement", "PathPerformanceModel"]
+__all__ = ["PathModelConfig", "PathPerformanceModel"]
 
 
 @dataclass(frozen=True)
@@ -55,19 +58,14 @@ class PathModelConfig:
     flow_noise_sigma: float = 0.08
 
 
-@dataclass(frozen=True)
-class FlowMeasurement:
-    """One passively measured flow."""
-
-    rtt_ms: float
-    retransmitted: bool
-
-
 class PathPerformanceModel:
     """Deterministic per-(prefix, path) performance, plus flow sampling."""
 
     def __init__(self, config: PathModelConfig = PathModelConfig()) -> None:
         self.config = config
+        self._memo_base_rtt: Dict[Prefix, float] = {}
+        self._memo_offset: Dict[Tuple[Prefix, str], float] = {}
+        self._memo_retx_base: Dict[Tuple[Prefix, str], float] = {}
 
     # -- deterministic medians ------------------------------------------------
 
@@ -78,19 +76,28 @@ class PathPerformanceModel:
 
     def base_rtt_ms(self, prefix: Prefix) -> float:
         """The prefix's baseline (preferred-path) median RTT."""
-        rng = self._rng_for("base", prefix)
-        return float(
-            self.config.base_rtt_median_ms
-            * np.exp(rng.normal(0.0, self.config.base_rtt_sigma))
-        )
+        value = self._memo_base_rtt.get(prefix)
+        if value is None:
+            rng = self._rng_for("base", prefix)
+            value = self._memo_base_rtt[prefix] = float(
+                self.config.base_rtt_median_ms
+                * np.exp(rng.normal(0.0, self.config.base_rtt_sigma))
+            )
+        return value
 
     def path_offset_ms(self, prefix: Prefix, session_name: str) -> float:
         """Static RTT offset of one egress path from the prefix baseline."""
-        rng = self._rng_for("offset", prefix, session_name)
-        probabilities = [component[0] for component in self.config.offset_mixture]
-        choice = rng.choice(len(probabilities), p=probabilities)
-        _p, mu, sigma = self.config.offset_mixture[int(choice)]
-        return float(rng.normal(mu, sigma))
+        key = (prefix, session_name)
+        value = self._memo_offset.get(key)
+        if value is None:
+            rng = self._rng_for("offset", prefix, session_name)
+            probabilities = [
+                component[0] for component in self.config.offset_mixture
+            ]
+            choice = rng.choice(len(probabilities), p=probabilities)
+            _p, mu, sigma = self.config.offset_mixture[int(choice)]
+            value = self._memo_offset[key] = float(rng.normal(mu, sigma))
+        return value
 
     def congestion_delay_ms(self, utilization: float) -> float:
         """Queueing delay added at the egress as load approaches capacity."""
@@ -131,10 +138,14 @@ class PathPerformanceModel:
         self, prefix: Prefix, session_name: str, utilization: float = 0.0
     ) -> float:
         """Expected retransmission fraction on one path."""
-        rng = self._rng_for("retx", prefix, session_name)
-        base = self.config.base_retransmit * float(
-            np.exp(rng.normal(0.0, 0.3))
-        )
+        key = (prefix, session_name)
+        base = self._memo_retx_base.get(key)
+        if base is None:
+            rng = self._rng_for("retx", prefix, session_name)
+            base = self._memo_retx_base[key] = (
+                self.config.base_retransmit
+                * float(np.exp(rng.normal(0.0, 0.3)))
+            )
         congested = self.congestion_loss(utilization)
         # Just below saturation, queues overflow transiently.
         knee = self.config.congestion_knee
@@ -152,8 +163,12 @@ class PathPerformanceModel:
         count: int,
         rng: np.random.Generator,
         preferred: bool = False,
-    ) -> list[FlowMeasurement]:
-        """Passively measured flows on one path (noisy around the median)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Passively measured flows on one path (noisy around the median).
+
+        Returns parallel arrays: per-flow RTT (``float64`` ms) and
+        whether the flow retransmitted (``bool_``).
+        """
         median = self.path_rtt_ms(
             prefix, session_name, utilization, preferred=preferred
         )
@@ -162,7 +177,4 @@ class PathPerformanceModel:
             rng.normal(0.0, self.config.flow_noise_sigma, count)
         )
         retx = rng.random(count) < retransmit
-        return [
-            FlowMeasurement(rtt_ms=float(rtt), retransmitted=bool(flag))
-            for rtt, flag in zip(rtts, retx)
-        ]
+        return rtts, retx

@@ -10,7 +10,6 @@ from repro.bgp.route import Route
 from repro.measurement.altpath import AltPathMonitor, DscpPolicy
 from repro.measurement.passive import PassiveMonitor
 from repro.measurement.pathmodel import (
-    FlowMeasurement,
     PathModelConfig,
     PathPerformanceModel,
 )
@@ -18,6 +17,14 @@ from repro.netbase.addr import Family, Prefix
 from repro.netbase.errors import MeasurementError
 
 PREFIXES = [Prefix.parse(f"11.0.{i}.0/24") for i in range(60)]
+
+
+def samples(rtts, retx=None):
+    """(rtts, retx) sample arrays in the shape ``record`` takes."""
+    rtts = np.asarray(rtts, dtype=np.float64)
+    if retx is None:
+        retx = np.zeros(len(rtts), dtype=np.bool_)
+    return rtts, np.asarray(retx, dtype=np.bool_)
 
 
 def make_route(prefix, session_name, rank):
@@ -109,9 +116,9 @@ class TestPathModel:
     def test_sample_flows(self):
         model = PathPerformanceModel()
         rng = np.random.default_rng(0)
-        flows = model.sample_flows(PREFIXES[0], "s0", 0.0, 200, rng)
-        assert len(flows) == 200
-        rtts = [f.rtt_ms for f in flows]
+        rtts, retx = model.sample_flows(PREFIXES[0], "s0", 0.0, 200, rng)
+        assert len(rtts) == len(retx) == 200
+        assert rtts.dtype == np.float64 and retx.dtype == np.bool_
         median = model.path_rtt_ms(PREFIXES[0], "s0", 0.0)
         assert np.median(rtts) == pytest.approx(median, rel=0.1)
 
@@ -119,12 +126,11 @@ class TestPathModel:
 class TestPassiveMonitor:
     def test_stats_aggregation(self):
         monitor = PassiveMonitor()
-        flows = [
-            FlowMeasurement(rtt_ms=40.0, retransmitted=False),
-            FlowMeasurement(rtt_ms=50.0, retransmitted=True),
-            FlowMeasurement(rtt_ms=60.0, retransmitted=False),
-        ]
-        monitor.record(PREFIXES[0], "s0", flows)
+        monitor.record(
+            PREFIXES[0],
+            "s0",
+            *samples([40.0, 50.0, 60.0], [False, True, False]),
+        )
         stats = monitor.stats(PREFIXES[0], "s0")
         assert stats.samples == 3
         assert stats.median_rtt_ms == 50.0
@@ -136,22 +142,15 @@ class TestPassiveMonitor:
 
     def test_sample_cap_recycles(self):
         monitor = PassiveMonitor(max_samples_per_key=10)
-        flows = [FlowMeasurement(rtt_ms=1.0, retransmitted=False)] * 25
-        monitor.record(PREFIXES[0], "s0", flows)
+        monitor.record(PREFIXES[0], "s0", *samples([1.0] * 25))
         stats = monitor.stats(PREFIXES[0], "s0")
         assert stats.samples <= 15
 
     def test_key_listing(self):
         monitor = PassiveMonitor()
-        monitor.record(
-            PREFIXES[0], "s0", [FlowMeasurement(1.0, False)]
-        )
-        monitor.record(
-            PREFIXES[0], "s1", [FlowMeasurement(1.0, False)]
-        )
-        monitor.record(
-            PREFIXES[1], "s0", [FlowMeasurement(1.0, False)]
-        )
+        monitor.record(PREFIXES[0], "s0", *samples([1.0]))
+        monitor.record(PREFIXES[0], "s1", *samples([1.0]))
+        monitor.record(PREFIXES[1], "s0", *samples([1.0]))
         assert set(monitor.paths_for(PREFIXES[0])) == {"s0", "s1"}
         assert monitor.prefixes() == sorted([PREFIXES[0], PREFIXES[1]])
 
