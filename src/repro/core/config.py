@@ -50,12 +50,6 @@ class ControllerConfig:
     steering_yellow_recover_cycles: int = 3
     #: EWMA smoothing factor for the per-path RTT/retransmit estimates.
     steering_ewma_alpha: float = 0.3
-    #: Retransmit-rate excess (preferred minus best alternate) that
-    #: counts as a degraded-path vote.
-    steering_retx_degraded: float = 0.02
-    #: Egress-interface utilization at which the queue signal votes bad
-    #: (early-warning pressure, below the overload threshold).
-    steering_queue_utilization: float = 0.92
     #: Signals that must agree in one cycle for it to count as bad; a
     #: single dissenting signal yields YELLOW, never RED.
     steering_votes_to_trip: int = 2
@@ -64,22 +58,15 @@ class ControllerConfig:
     #: interface's utilization over the queue line for one cycle) must
     #: not move the tier at all, or the early-warning tier itself flaps.
     steering_warn_cycles: int = 2
-    #: While RED, the RTT/retransmit trip lines shrink to this fraction:
-    #: recovery demands clear health, not hovering at the trip line.
-    steering_recovery_fraction: float = 0.5
-    #: Flap accounting: a key exceeding ``steering_flap_budget`` tier
-    #: transitions within ``steering_flap_window_cycles`` cycles raises
-    #: the ``steering_flap`` health signal.  A key legitimately
-    #: *tracking* repeated faults — trip, 15-cycle recovery dwell,
-    #: trip again, with a YELLOW round-trip per episode — costs up to
-    #: 6 transitions per 60-cycle chaos trial (10/100).  12 keeps the
-    #: gate quiet for fault-tracking while rates the hysteresis should
-    #: make impossible (YELLOW toggling every few cycles reaches 50/100)
-    #: still breach.
-    steering_flap_window_cycles: int = 100
+    #: Flap accounting: a key exceeding this many tier transitions
+    #: within ``steering.FLAP_WINDOW_CYCLES`` cycles raises the
+    #: ``steering_flap`` health signal.  A key legitimately *tracking*
+    #: repeated faults — trip, 15-cycle recovery dwell, trip again, with
+    #: a YELLOW round-trip per episode — costs up to 6 transitions per
+    #: 60-cycle chaos trial (10/100).  12 keeps the gate quiet for
+    #: fault-tracking while rates the hysteresis should make impossible
+    #: (YELLOW toggling every few cycles reaches 50/100) still breach.
     steering_flap_budget: int = 12
-    #: Cap on tracked ⟨prefix, path⟩ keys (LRU-evicted beyond it).
-    steering_max_keys: int = 4096
     #: Safety rail: at most this many *new* detours per cycle (kept
     #: detours are free).  A controller fed garbage inputs can then
     #: shift only a bounded amount of traffic before a human notices.
@@ -99,12 +86,6 @@ class ControllerConfig:
     #: where every routed prefix under the aggregate provably resolves
     #: to the same egress either way.
     aggregate_overrides: bool = False
-    #: Never aggregate beyond this prefix length (a too-broad covering
-    #: route is operationally radioactive even when momentarily valid).
-    aggregate_min_length: int = 8
-    #: The IPv6 twin of ``aggregate_min_length``: v6 aggregates stop at
-    #: the conventional /32 RIR allocation size.
-    aggregate_min_length_v6: int = 32
     #: Record a "keep" audit event for every standing override every
     #: cycle.  Full continuity for small tables; at full-table scale
     #: (tens of thousands of standing detours) this is O(standing) work
@@ -121,10 +102,6 @@ class ControllerConfig:
     #: rebuilding the projection from scratch and reconciling the
     #: incrementally-maintained loads against it.
     full_recompute_every: int = 16
-    #: Relative load disagreement between the incremental projection and
-    #: a full rebuild that counts as drift (ulp-scale float accumulation
-    #: differences sit far below this).
-    drift_tolerance: float = 1e-6
     #: Collector resubscription: first retry after this many seconds of
     #: a stale route feed, then exponential backoff.
     resubscribe_initial_seconds: float = 30.0
@@ -154,8 +131,6 @@ class ControllerConfig:
             raise ControllerError(
                 "full_recompute_every must be at least 1"
             )
-        if self.drift_tolerance < 0.0:
-            raise ControllerError("drift_tolerance cannot be negative")
         if self.resubscribe_initial_seconds <= 0:
             raise ControllerError(
                 "resubscribe_initial_seconds must be positive"
@@ -167,14 +142,6 @@ class ControllerConfig:
         if self.resubscribe_max_attempts < 1:
             raise ControllerError(
                 "resubscribe_max_attempts must be at least 1"
-            )
-        if self.aggregate_min_length < 0:
-            raise ControllerError(
-                "aggregate_min_length cannot be negative"
-            )
-        if self.aggregate_min_length_v6 < 0:
-            raise ControllerError(
-                "aggregate_min_length_v6 cannot be negative"
             )
         if self.steering_trip_cycles < 1:
             raise ControllerError(
@@ -192,14 +159,6 @@ class ControllerConfig:
             raise ControllerError(
                 "steering_ewma_alpha must be in (0, 1]"
             )
-        if self.steering_retx_degraded <= 0.0:
-            raise ControllerError(
-                "steering_retx_degraded must be positive"
-            )
-        if not 0.0 < self.steering_queue_utilization <= 1.0:
-            raise ControllerError(
-                "steering_queue_utilization must be in (0, 1]"
-            )
         if self.steering_votes_to_trip < 1:
             raise ControllerError(
                 "steering_votes_to_trip must be at least 1"
@@ -208,19 +167,7 @@ class ControllerConfig:
             raise ControllerError(
                 "steering_warn_cycles must be at least 1"
             )
-        if not 0.0 < self.steering_recovery_fraction <= 1.0:
-            raise ControllerError(
-                "steering_recovery_fraction must be in (0, 1]"
-            )
-        if self.steering_flap_window_cycles < 1:
-            raise ControllerError(
-                "steering_flap_window_cycles must be at least 1"
-            )
         if self.steering_flap_budget < 1:
             raise ControllerError(
                 "steering_flap_budget must be at least 1"
-            )
-        if self.steering_max_keys < 1:
-            raise ControllerError(
-                "steering_max_keys must be at least 1"
             )

@@ -9,12 +9,13 @@ Each cycle:
 5. reconcile against the active override set and hand the diff to the
    BGP injector.
 
-The controller holds no essential state between cycles: the override set
-is re-derived every time, so a crashed-and-restarted controller converges
-to the same decisions within one cycle, and killing it entirely leaves
-BGP to withdraw nothing — the injector's routes simply stay until
-withdrawn, and `shutdown()` withdraws them all, restoring default
-routing.
+The controller holds no durable state: the capacity override set is
+re-derived every cycle, so a crashed-and-restarted controller reaches
+the same capacity decisions on its first cycle.  Performance-aware
+steering memory (tiers, dwell counters, EWMAs) is lost with the process,
+so performance detours re-trip over the following cycles.  The
+injector's routes stay until withdrawn, and `shutdown()` withdraws them
+all, restoring default routing.
 """
 
 from __future__ import annotations
@@ -37,9 +38,14 @@ from .overrides import OverrideDiff, OverrideSet
 from .projection import IncrementalProjection, project
 from .steering import SteeringEngine
 
-__all__ = ["EdgeFabricController"]
+__all__ = ["EdgeFabricController", "DRIFT_TOLERANCE"]
 
 _log = get_logger("repro.core.controller")
+
+#: Relative load disagreement between the incremental projection and a
+#: full rebuild that counts as drift (ulp-scale float accumulation
+#: differences sit far below this).
+DRIFT_TOLERANCE = 1e-6
 
 
 class EdgeFabricController:
@@ -62,10 +68,7 @@ class EdgeFabricController:
         #: the desired per-prefix set: runs of same-target detours are
         #: injected as one covering prefix.  None = install 1:1.
         self.aggregator: Optional[OverrideAggregator] = (
-            OverrideAggregator(
-                config.aggregate_min_length,
-                config.aggregate_min_length_v6,
-            )
+            OverrideAggregator()
             if config.aggregate_overrides
             else None
         )
@@ -83,7 +86,7 @@ class EdgeFabricController:
         self._incremental: Optional[IncrementalProjection] = None
         self._cycles_since_full = 0
         #: Interfaces whose incrementally-maintained load disagreed with
-        #: the last full reconciliation beyond ``config.drift_tolerance``
+        #: the last full reconciliation beyond :data:`DRIFT_TOLERANCE`
         #: (relative), for the safety checker.  Cleared every cycle.
         self.last_drift: Dict = {}
         #: The per-prefix override diff the last completed cycle
@@ -334,7 +337,7 @@ class EdgeFabricController:
           maintained projection is replayed from the full table; on
           reconciliation cycles the replay is compared against the
           incrementally-maintained loads and any disagreement beyond
-          ``config.drift_tolerance`` lands in :attr:`last_drift` for
+          :data:`DRIFT_TOLERANCE` lands in :attr:`last_drift` for
           the safety checker.
         - ``delta``: only dirty prefixes are re-placed, then the
           allocator runs against the maintained projection (cost
@@ -377,7 +380,7 @@ class EdgeFabricController:
                 exceeded = {
                     key: value
                     for key, value in drift.items()
-                    if value > self.config.drift_tolerance
+                    if value > DRIFT_TOLERANCE
                 }
                 if exceeded:
                     self.last_drift = exceeded
@@ -430,9 +433,10 @@ class EdgeFabricController:
 
         Unlike :meth:`shutdown`, nothing is *sent* — the injector's
         sessions are torn down separately and the routers withdraw the
-        injected routes themselves.  The override table is flushed (a
-        restarted controller starts empty and re-derives its decisions
-        within one cycle, per the stateless-cycle design).
+        injected routes themselves.  The override table is flushed and
+        the steering engine reset: a restarted controller re-derives
+        its capacity decisions on the first cycle, but performance
+        detours must re-trip through the steering tiers.
         """
         flushed = self.overrides.flush(now)
         if self.aggregator is not None:

@@ -509,9 +509,10 @@ class PopDeployment:
     def restart_controller(self, now: float) -> None:
         """Bring a crashed controller back.
 
-        Sessions re-establish empty; the stateless-cycle design means
-        the next cycle re-derives whatever overrides current inputs
-        justify, converging within one cycle.
+        Sessions re-establish empty.  The next cycle re-derives the
+        capacity overrides current inputs justify; performance detours
+        return only as their steering keys re-trip (tiers, dwell
+        counters and EWMAs did not survive the crash).
         """
         self.injector.reestablish_sessions()
         self._last_cycle_at = None

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..dataplane.fib import egress_interface
 from ..obs.logs import get_logger, log_event
-from .controller import EdgeFabricController
+from .controller import DRIFT_TOLERANCE, EdgeFabricController
 from .monitoring import CycleReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -193,10 +193,9 @@ class SafetyChecker:
     ) -> None:
         # The controller populates last_drift only on reconciliation
         # cycles, with the interfaces whose incrementally-maintained
-        # load disagreed with the full replay beyond the configured
-        # tolerance; any entry at all is an invariant breach.
+        # load disagreed with the full replay beyond DRIFT_TOLERANCE;
+        # any entry at all is an invariant breach.
         drift: Dict[object, float] = self.controller.last_drift
-        tolerance = self.controller.config.drift_tolerance
         for key, relative in drift.items():
             found.append(
                 Violation(
@@ -207,7 +206,7 @@ class SafetyChecker:
                     message=(
                         f"incremental load drifted {relative:.3e} "
                         f"(relative) from full replay, tolerance "
-                        f"{tolerance:.1e}"
+                        f"{DRIFT_TOLERANCE:.1e}"
                     ),
                 )
             )

@@ -23,7 +23,7 @@ closed-loop CAKE steering controllers —
   even drops to YELLOW, so a single-cycle spike on one signal moves
   nothing.  Slow to recover:
   ``steering_recover_cycles`` consecutive good cycles — judged against
-  *stricter* recovery thresholds (``steering_recovery_fraction``) so a
+  *stricter* recovery thresholds (:data:`RECOVERY_FRACTION`) so a
   path hovering at the trip line cannot oscillate — are required before
   traffic returns.  A key that entered RED therefore cannot be GREEN
   again in fewer than ``steering_recover_cycles`` cycles, which is the
@@ -36,8 +36,7 @@ per-key timestamp ring that feeds the ``steering_flap`` health signal
 and the chaos stability reports.  The engine is deterministic for a
 given input sequence (iteration is sorted, ties break lexically), holds
 no closures or live objects beyond its :class:`Telemetry` handle, and
-pickles across fork/substrate fleet workers exactly like the health
-engine.
+pickles across fleet pool workers exactly like the health engine.
 """
 
 from __future__ import annotations
@@ -60,6 +59,11 @@ __all__ = [
     "TierTransition",
     "PathHealth",
     "SteeringEngine",
+    "RETX_DEGRADED",
+    "QUEUE_UTILIZATION",
+    "RECOVERY_FRACTION",
+    "FLAP_WINDOW_CYCLES",
+    "MAX_KEYS",
 ]
 
 _log = get_logger("repro.core.steering")
@@ -68,6 +72,21 @@ TIER_GREEN = "GREEN"
 TIER_YELLOW = "YELLOW"
 TIER_RED = "RED"
 STEERING_TIERS: Tuple[str, ...] = (TIER_GREEN, TIER_YELLOW, TIER_RED)
+
+#: Retransmit-rate excess (preferred minus best alternate) that counts
+#: as a degraded-path vote.
+RETX_DEGRADED = 0.02
+#: Egress-interface utilization at which the queue signal votes bad
+#: (early-warning pressure, below the overload threshold).
+QUEUE_UTILIZATION = 0.92
+#: While RED, the RTT/retransmit trip lines shrink to this fraction:
+#: recovery demands clear health, not hovering at the trip line.
+RECOVERY_FRACTION = 0.5
+#: The window, in cycles, over which ``steering_flap_budget`` tier
+#: transitions per key are counted.
+FLAP_WINDOW_CYCLES = 100
+#: Cap on tracked ⟨prefix, path⟩ keys (LRU-evicted beyond it).
+MAX_KEYS = 4096
 
 #: Per-cycle assessments the voting layer hands the state machine.
 _BAD = "bad"
@@ -280,14 +299,12 @@ class SteeringEngine:
         """The three signals' verdicts on *state*'s preferred path.
 
         While RED, the RTT/retransmit trip lines shrink by
-        ``steering_recovery_fraction``: recovery demands the path be
+        :data:`RECOVERY_FRACTION`: recovery demands the path be
         clearly healthy, not merely back under the line it tripped on.
         """
         config = self.config
         recovering = state.tier == TIER_RED
-        fraction = (
-            config.steering_recovery_fraction if recovering else 1.0
-        )
+        fraction = RECOVERY_FRACTION if recovering else 1.0
 
         rtt_threshold = config.perf_improvement_threshold_ms * fraction
         rtt_delta = (state.rtt_ewma_ms or 0.0) - best_alt_rtt
@@ -300,7 +317,7 @@ class SteeringEngine:
             )
         ]
 
-        retx_threshold = config.steering_retx_degraded * fraction
+        retx_threshold = RETX_DEGRADED * fraction
         retx_delta = (state.retx_ewma or 0.0) - best_alt_retx
         votes.append(
             SignalVote(
@@ -319,9 +336,8 @@ class SteeringEngine:
                 SignalVote(
                     signal="queue",
                     value=utilization,
-                    threshold=config.steering_queue_utilization,
-                    bad=utilization
-                    >= config.steering_queue_utilization,
+                    threshold=QUEUE_UTILIZATION,
+                    bad=utilization >= QUEUE_UTILIZATION,
                 )
             )
         return tuple(votes)
@@ -481,7 +497,7 @@ class SteeringEngine:
             stale = self._path_of.get(prefix)
             if stale is not None:
                 del self._states[(prefix, stale)]
-            if len(self._states) >= self.config.steering_max_keys:
+            if len(self._states) >= MAX_KEYS:
                 evicted, _state = self._states.popitem(last=False)
                 del self._path_of[evicted[0]]
             state = PathHealth(prefix=prefix, path=path)
@@ -551,15 +567,12 @@ class SteeringEngine:
     def flap_signal(self, now: float) -> float:
         """1.0 when any key burned its transition budget in the window.
 
-        The window and budget come from the controller config
-        (``steering_flap_window_cycles`` × cycle period,
-        ``steering_flap_budget`` transitions), making this the
-        ``override_flap``-compatible signal the health engine samples.
+        The window is :data:`FLAP_WINDOW_CYCLES` × the cycle period and
+        the budget is the config's ``steering_flap_budget`` transitions,
+        making this the ``override_flap``-compatible signal the health
+        engine samples.
         """
-        window = (
-            self.config.steering_flap_window_cycles
-            * self.config.cycle_seconds
-        )
+        window = FLAP_WINDOW_CYCLES * self.config.cycle_seconds
         edge = now - window
         budget = self.config.steering_flap_budget
         for state in self._states.values():

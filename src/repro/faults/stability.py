@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from ..core.steering import FLAP_WINDOW_CYCLES
 from .harness import FaultInjector
 from .plan import FaultPlan
 from .scenario import build_chaos_deployment
@@ -53,7 +54,7 @@ class StabilityReport:
     #: (``"prefix via session"`` → rate).
     flap_rates: Dict[str, float]
     #: The budget a key's rate must not exceed (transitions per
-    #: ``steering_flap_window_cycles`` cycles, normalized to 100).
+    #: ``FLAP_WINDOW_CYCLES`` cycles, normalized to 100).
     flap_budget: float
     #: Keys whose rate exceeded the budget — a clean run has none.
     breaches: Dict[str, float]
@@ -130,13 +131,10 @@ def run_stability_trial(
 
     engine = deployment.controller.steering
     assert engine is not None  # steering=True armed the closed loop
-    config = engine.config
     # Normalize the configured budget to per-100-cycles so reports are
-    # comparable across window settings.
+    # comparable across budget settings.
     budget = (
-        config.steering_flap_budget
-        * 100.0
-        / config.steering_flap_window_cycles
+        engine.config.steering_flap_budget * 100.0 / FLAP_WINDOW_CYCLES
     )
     rates = {
         f"{prefix} via {path}": rate

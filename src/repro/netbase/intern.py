@@ -77,9 +77,9 @@ class Interner(Generic[K]):
     def intern_all(self, keys) -> None:
         """Bulk-intern *keys* in order (ids follow iteration order).
 
-        Seeding an interner from a frozen key table this way gives
-        every attached consumer the same id space as the table's row
-        order, so columnar state can be exchanged by row index.
+        Seeding an interner from a key table this way gives every
+        attached consumer the same id space as the table's row order,
+        so columnar state can be exchanged by row index.
         """
         for key in keys:
             self.intern(key)

@@ -701,8 +701,10 @@ class HealthEngine:
                 signals["steering_flap"] = flapping
                 self._last_steering = steering.tier_counts()
                 if flapping:
+                    from ..core.steering import FLAP_WINDOW_CYCLES
+
                     budget = steering.config.steering_flap_budget
-                    window = steering.config.steering_flap_window_cycles
+                    window = FLAP_WINDOW_CYCLES
                     context["steering_flap"] = (
                         f"a steering key exceeded {budget} tier "
                         f"transitions in {window} cycles"

@@ -38,9 +38,8 @@ def process_rss_bytes() -> float:
     """This process's resident set size in bytes (0.0 if unknowable).
 
     Reads ``/proc/self/statm`` where procfs exists (Linux); falls back
-    to ``getrusage`` peak RSS elsewhere.  Used by the fleet to report
-    per-worker memory, where the shared-substrate pool's win (one set
-    of physical pages for the table, however many workers) shows up.
+    to ``getrusage`` peak RSS elsewhere.  The soak report samples it
+    to gate memory growth.
     """
     try:
         with open("/proc/self/statm", "rb") as statm:

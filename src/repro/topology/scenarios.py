@@ -35,11 +35,9 @@ __all__ = [
 STUDY_POP_NAMES = ("pop-a", "pop-b", "pop-c", "pop-d")
 
 
-def default_internet(
-    seed: int = 0, config: Optional[InternetConfig] = None
-) -> InternetTopology:
+def default_internet(seed: int = 0) -> InternetTopology:
     """The synthetic Internet shared by the canonical scenarios."""
-    return InternetTopology(config or InternetConfig(seed=seed))
+    return InternetTopology(InternetConfig(seed=seed))
 
 
 def study_pop_spec(name: str, seed: int = 0) -> PopSpec:

@@ -105,72 +105,6 @@ class DemandModel:
             1.0 - config.volatility_rho**2
         )
 
-    @classmethod
-    def from_columns(
-        cls,
-        prefixes: Sequence[Prefix],
-        config: DemandConfig,
-        weights: np.ndarray,
-        log_state: np.ndarray,
-        rng_state: Optional[dict] = None,
-        current_tick: int = 0,
-        flash_events: Sequence[FlashEvent] = (),
-    ) -> "DemandModel":
-        """Rehydrate a model from previously built columns.
-
-        This is the shared-substrate path: *weights* and *log_state*
-        may be **read-only views** onto a
-        :class:`~repro.netbase.substrate.FrozenTable` — weights are
-        never written after construction, and :meth:`_advance_to`
-        *rebinds* ``_log_state`` rather than writing in place, so the
-        first advance naturally becomes this process's private overlay
-        while the initial state stays on shared pages.
-
-        *rng_state* is the donor model's ``bit_generator.state`` (so
-        subsequent volatility draws continue its exact sequence); when
-        omitted, the construction-time draws are replayed and discarded,
-        which reproduces the same state for a freshly built donor.  The
-        result is bit-identical to the donor at capture time.
-        """
-        if not prefixes:
-            raise TrafficError("demand model needs at least one prefix")
-        model = cls.__new__(cls)
-        model.config = config
-        model.prefixes = list(prefixes)
-        model.flash_events = tuple(flash_events)
-        model._index_of = {
-            prefix: index for index, prefix in enumerate(model.prefixes)
-        }
-        count = len(model.prefixes)
-        if len(weights) != count or len(log_state) != count:
-            raise TrafficError(
-                f"column length mismatch: {count} prefixes vs "
-                f"{len(weights)} weights / {len(log_state)} log-states"
-            )
-        rng = np.random.default_rng(config.seed)
-        if rng_state is not None:
-            rng.bit_generator.state = rng_state
-        else:
-            rng.permutation(count)
-            rng.normal(0.0, config.volatility_sigma, count)
-        model._rng = rng
-        model._weights = weights
-        model._log_state = log_state
-        model._current_tick = current_tick
-        model._innovation_sigma = config.volatility_sigma * np.sqrt(
-            1.0 - config.volatility_rho**2
-        )
-        return model
-
-    def column_state(self) -> Tuple[np.ndarray, np.ndarray, dict, int]:
-        """(weights, log_state, rng state, tick) for :meth:`from_columns`."""
-        return (
-            self._weights,
-            self._log_state,
-            self._rng.bit_generator.state,
-            self._current_tick,
-        )
-
     def _build_weights(
         self, rng: np.random.Generator, popular: Optional[Iterable[Prefix]]
     ) -> np.ndarray:

@@ -1,23 +1,35 @@
-"""Tests for the fleet deployment (multiple independent PoPs)."""
+"""Tests for the fleet deployment (multiple independent PoPs).
+
+Every test reads the session-scoped ``fleet_pair``; only the fork
+fallback builds a fleet of its own.
+"""
+
+import gc
 
 import pytest
 
 import repro.core.fleet as fleet_module
 from repro.core.fleet import FleetDeployment
+from tests.fleet_support import (
+    FLEET_SECONDS,
+    assert_fleets_match,
+    build_fleet,
+    deterministic_view,
+)
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    fleet = FleetDeployment.build(pop_count=2, seed=17, tick_seconds=60.0)
-    # Run 10 minutes near the first PoP's peak.
-    first = next(iter(fleet.deployments.values()))
-    start = first.demand.config.peak_time
-    fleet.run(start, 600.0)
-    return fleet
+def _wrap(fleet) -> FleetDeployment:
+    """A second fleet over *fleet*'s deployments, for pool-lifecycle
+    tests that fork workers but never step or collect them (so the
+    shared deployments are left untouched)."""
+    return FleetDeployment(
+        deployments=fleet.deployments, tick_seconds=fleet.tick_seconds
+    )
 
 
 class TestFleet:
-    def test_independent_pops(self, fleet):
+    def test_independent_pops(self, fleet_pair):
+        fleet, _pooled, _start = fleet_pair
         names = list(fleet.deployments)
         assert len(names) == 2
         a, b = (fleet.deployments[n] for n in names)
@@ -26,23 +38,18 @@ class TestFleet:
         assert a.wired.internet is b.wired.internet
         assert a.controller is not b.controller
 
-    def test_all_pops_ticked(self, fleet):
+    def test_all_pops_ticked(self, fleet_pair):
+        fleet, _pooled, _start = fleet_pair
         for deployment in fleet.deployments.values():
-            assert len(deployment.record.ticks) == 10
+            assert len(deployment.record.ticks) == FLEET_SECONDS / 60.0
 
-    def test_aggregates(self, fleet):
+    def test_aggregates(self, fleet_pair):
+        fleet, _pooled, _start = fleet_pair
         assert fleet.total_offered().bits_per_second > 0
-        assert 0.0 <= fleet.fleet_detoured_fraction() < 1.0
         assert fleet.total_active_overrides() >= 0
 
-    def test_summary_table(self, fleet):
-        table = fleet.summary_table()
-        assert len(table.rows) == 2
-        rendered = table.render()
-        for name in fleet.deployments:
-            assert name in rendered
-
-    def test_offset_peaks(self, fleet):
+    def test_offset_peaks(self, fleet_pair):
+        fleet, _pooled, _start = fleet_pair
         peaks = [
             deployment.demand.config.peak_time
             for deployment in fleet.deployments.values()
@@ -50,52 +57,13 @@ class TestFleet:
         assert len(set(peaks)) == len(peaks)
 
 
-@pytest.fixture(scope="module")
-def parallel_fleet():
-    parallel = FleetDeployment.build(
-        pop_count=2, seed=17, tick_seconds=60.0
-    )
-    first = next(iter(parallel.deployments.values()))
-    start = first.demand.config.peak_time
-    parallel.run(start, 600.0, parallel=2)
-    return parallel
-
-
-def _deterministic_view(registry):
-    """Counters and gauges in full; histograms by count only.
-
-    Wall-time histograms (tick/cycle latency) measure the host, not the
-    simulation, so their sums and bucket spreads legitimately differ
-    between serial and parallel executions of the same workload.
-    """
-    snapshot = registry.snapshot()
-    return {
-        "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
-        "histogram_counts": {
-            name: {
-                labels: series["count"]
-                for labels, series in by_label.items()
-            }
-            for name, by_label in snapshot["histograms"].items()
-        },
-    }
-
-
 class TestParallelFleet:
-    def test_parallel_run_matches_serial_exactly(self, fleet, parallel_fleet):
-        parallel = parallel_fleet
-        assert (
-            parallel.summary_table().render()
-            == fleet.summary_table().render()
-        )
+    def test_parallel_run_matches_serial_exactly(self, fleet_pair):
+        fleet, parallel, _start = fleet_pair
+        assert_fleets_match(parallel, fleet)
         assert (
             parallel.total_offered().bits_per_second
             == fleet.total_offered().bits_per_second
-        )
-        assert (
-            parallel.fleet_detoured_fraction()
-            == fleet.fleet_detoured_fraction()
         )
         assert (
             parallel.total_active_overrides()
@@ -103,17 +71,12 @@ class TestParallelFleet:
         )
         for name, serial_pop in fleet.deployments.items():
             parallel_pop = parallel.deployments[name]
-            assert (
-                parallel_pop.record.ticks == serial_pop.record.ticks
-            )
             assert len(parallel_pop.record.cycle_reports) == len(
                 serial_pop.record.cycle_reports
             )
-            assert parallel_pop.current_time == serial_pop.current_time
 
-    def test_parallel_telemetry_matches_serial(
-        self, fleet, parallel_fleet
-    ):
+    def test_parallel_telemetry_matches_serial(self, fleet_pair):
+        fleet, parallel_fleet, _start = fleet_pair
         for name, serial_pop in fleet.deployments.items():
             parallel_pop = parallel_fleet.deployments[name]
             # Workers hand their telemetry back through the merge, and
@@ -122,9 +85,9 @@ class TestParallelFleet:
                 parallel_pop.record.telemetry
                 is parallel_pop.telemetry
             )
-            assert _deterministic_view(
+            assert deterministic_view(
                 parallel_pop.telemetry.registry
-            ) == _deterministic_view(serial_pop.telemetry.registry)
+            ) == deterministic_view(serial_pop.telemetry.registry)
             assert (
                 parallel_pop.telemetry.tracer.counts()
                 == serial_pop.telemetry.tracer.counts()
@@ -137,92 +100,109 @@ class TestParallelFleet:
                 for event in serial_pop.telemetry.audit.events()
             ]
 
-    def test_merged_registry_matches_serial(
-        self, fleet, parallel_fleet
-    ):
-        assert _deterministic_view(
+    def test_merged_registry_matches_serial(self, fleet_pair):
+        fleet, parallel_fleet, _start = fleet_pair
+        assert deterministic_view(
             parallel_fleet.merged_registry()
-        ) == _deterministic_view(fleet.merged_registry())
+        ) == deterministic_view(fleet.merged_registry())
         # The merged view carries one pop label value per deployment.
         merged = fleet.merged_registry()
         ticks = merged.counter(
             "pipeline_ticks_total", labelnames=("pop",)
         )
         for name in fleet.deployments:
-            assert ticks.value(pop=name) == 10.0
+            assert ticks.value(pop=name) == FLEET_SECONDS / 60.0
 
+    def test_pop_labels_survive_the_merge(self, fleet_pair):
+        _serial, pooled, _start = fleet_pair
+        merged = pooled.merged_registry()
+        counter = merged.counter(
+            "pipeline_ticks_total", labelnames=("pop",)
+        )
+        for pop in pooled.deployments:
+            assert counter.value(pop=pop) > 0
+        # Every exported series carries the pop label.
+        for line in merged.to_prometheus().splitlines():
+            if line.startswith("#") or not line.strip():
+                continue
+            assert 'pop="' in line, line
 
-def _build_pair():
-    """Two identically seeded 2-PoP fleets plus their shared start time."""
-    serial = FleetDeployment.build(
-        pop_count=2, seed=23, tick_seconds=60.0
-    )
-    pooled = FleetDeployment.build(
-        pop_count=2, seed=23, tick_seconds=60.0
-    )
-    start = next(iter(serial.deployments.values())).demand.config.peak_time
-    return serial, pooled, start
+    def test_health_state_survives_parallel_merge(self, fleet_pair):
+        serial, pooled, _start = fleet_pair
+        for name, serial_pop in serial.deployments.items():
+            report = pooled.deployments[name].health.report(name=name)
+            expected = serial_pop.health.report(name=name)
+            assert report.name == name
+            assert report.cycles == expected.cycles > 0
+            assert report.alerts == expected.alerts
+            assert report.transitions == expected.transitions
+            assert report.ever_fired == expected.ever_fired
+        assert pooled.firing_alerts() == serial.firing_alerts()
+        # The unfaulted PoP has nothing firing.
+        assert "pop-01" not in pooled.firing_alerts()
+        # The health metrics land in the merged fleet registry too,
+        # labelled per PoP.
+        counter = pooled.merged_registry().counter(
+            "health_cycles_total", labelnames=("pop",)
+        )
+        for name in pooled.deployments:
+            assert counter.value(pop=name) > 0
 
 
 class TestWorkerPool:
-    def test_multi_segment_pool_matches_serial(self):
-        """Successive run() calls continue the simulation: workers keep
-        their deployments' live state between commands."""
-        serial, pooled, start = _build_pair()
-        try:
-            serial.run(start, 600.0)
-            # Same 10 ticks, split across three pool commands with the
-            # pickle-back deferred to one final collect().
-            pooled.run(start, 240.0, parallel=2, sync=False)
-            pooled.run(start + 240.0, 240.0, parallel=2, sync=False)
-            pooled.run(start + 480.0, 120.0, parallel=2, sync=False)
-            pooled.collect()
-            assert (
-                pooled.summary_table().render()
-                == serial.summary_table().render()
-            )
-            for name, serial_pop in serial.deployments.items():
-                pooled_pop = pooled.deployments[name]
-                assert pooled_pop.record.ticks == serial_pop.record.ticks
-                assert (
-                    pooled_pop.current_time == serial_pop.current_time
-                )
-                assert _deterministic_view(
-                    pooled_pop.telemetry.registry
-                ) == _deterministic_view(serial_pop.telemetry.registry)
-            assert _deterministic_view(
-                pooled.merged_registry()
-            ) == _deterministic_view(serial.merged_registry())
-        finally:
-            pooled.close_pool()
+    def test_step_refused_while_pool_is_live(self, fleet_pair):
+        serial, _pooled, start = fleet_pair
+        wrapper = _wrap(serial)
+        wrapper.run(start, 0.0, parallel=2, sync=False)
+        with pytest.raises(RuntimeError, match="worker pool"):
+            wrapper.step(start)
 
-    def test_step_refused_while_pool_is_live(self):
-        _serial, pooled, start = _build_pair()
-        try:
-            pooled.run(start, 120.0, parallel=2, sync=False)
-            with pytest.raises(RuntimeError, match="worker pool"):
-                pooled.step(start + 120.0)
-        finally:
-            pooled.close_pool()
+    def test_dropped_pool_reaps_its_workers(self, fleet_pair):
+        serial, _pooled, start = fleet_pair
+        wrapper = _wrap(serial)
+        wrapper.run(start, 0.0, parallel=2, sync=False)
+        pool = wrapper._pool
+        processes = list(pool.processes)
+        finalizer = pool._finalizer
+        assert len(processes) == 2
+        assert all(process.is_alive() for process in processes)
+        # No close_pool(): dropping the fleet must still stop the
+        # workers, through the pool's weakref.finalize.
+        del wrapper, pool
+        gc.collect()
+        assert not finalizer.alive
+        for process in processes:
+            process.join(timeout=5.0)
+        assert not any(process.is_alive() for process in processes)
 
-    def test_close_pool_collects_and_restores_serial_stepping(self):
-        serial, pooled, start = _build_pair()
-        serial.run(start, 180.0)
-        pooled.run(start, 120.0, parallel=2, sync=False)
-        pooled.close_pool()
+    def test_close_pool_is_final(self, fleet_pair):
+        serial, pooled, start = fleet_pair
+        # The fixture closed the pool after collecting the final state.
         assert pooled._pool is None
-        # close_pool() collected the workers' final state...
-        first = next(iter(pooled.deployments.values()))
-        assert len(first.record.ticks) == 2
-        # ...but live routing state stays in the dead workers, so the
-        # fleet builds a fresh pool on the next parallel run rather than
-        # continuing serially from stale parent state.
-        pooled.run(start + 120.0, 60.0, parallel=2)
+        end = start + FLEET_SECONDS
+        # The workers held the live routing state; the parent holds only
+        # what the merge carries, so stepping on would diverge from
+        # serial.  Both paths refuse instead.
+        for attempt in (
+            lambda: pooled.run(end, 60.0, parallel=2),
+            lambda: pooled.run(end, 60.0),
+            lambda: pooled.step(end),
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                attempt()
+        # Every read-only accessor keeps working.
+        pooled.collect()
         pooled.close_pool()
+        assert pooled.total_offered() == serial.total_offered()
+        assert pooled.safety_violations() == serial.safety_violations()
+        assert pooled.firing_alerts() == serial.firing_alerts()
+        assert_fleets_match(pooled, serial)
 
-    def test_fork_unavailable_falls_back_loudly(self, monkeypatch):
-        serial, degraded, start = _build_pair()
-        serial.run(start, 120.0)
+    def test_fork_unavailable_falls_back_loudly(
+        self, fleet_pair, monkeypatch
+    ):
+        serial, _pooled, start = fleet_pair
+        degraded = build_fleet()
 
         def no_fork(method):
             raise ValueError(f"cannot find context for {method!r}")
@@ -235,9 +215,9 @@ class TestWorkerPool:
             "fleet_parallel_fallback_total"
         )
         assert fallback.value() == 1.0
-        # The degraded run is still the serial run, bit for bit.
+        # The degraded run is the serial run, bit for bit.
         for name, serial_pop in serial.deployments.items():
             assert (
                 degraded.deployments[name].record.ticks
-                == serial_pop.record.ticks
+                == serial_pop.record.ticks[:2]
             )

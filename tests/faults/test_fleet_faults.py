@@ -1,48 +1,31 @@
-"""Chaos in a fleet: faults stay local, parallel merges stay exact."""
+"""Chaos in a fleet: faults stay local, parallel merges stay exact.
+
+The faulted fleets are the session-scoped ``fleet_pair`` (faults at
+``pop-00``, safety checks on); only the clean reference is built here.
+"""
 
 import pytest
 
-from repro.core.fleet import FleetDeployment
-from repro.faults import FaultPlan
+from tests.fleet_support import FLEET_SECONDS, build_fleet
 
 
-def _plans():
-    return {
-        "pop-00": (
-            FaultPlan(seed=5)
-            .link_flap(60.0, 120.0, capacity_factor=0.5)
-            .bmp_flap(120.0, 240.0)
-        )
-    }
+@pytest.fixture(scope="module")
+def faulted_fleet(fleet_pair):
+    return fleet_pair[0]
 
 
-def _build_and_run(fault_plans, parallel=None):
-    fleet = FleetDeployment.build(
-        pop_count=2,
-        seed=17,
-        tick_seconds=60.0,
-        fault_plans=fault_plans,
-        safety_checks=True,
-    )
-    first = next(iter(fleet.deployments.values()))
-    start = first.demand.config.peak_time
-    fleet.run(start, 600.0, parallel=parallel)
+@pytest.fixture(scope="module")
+def parallel_faulted_fleet(fleet_pair):
+    return fleet_pair[1]
+
+
+@pytest.fixture(scope="module")
+def clean_fleet(fleet_pair):
+    """The same workload without faults; only ``pop-01`` is stepped,
+    since that is the PoP the isolation test compares."""
+    fleet = build_fleet(faulted=False)
+    fleet.deployments["pop-01"].run(fleet_pair[2], FLEET_SECONDS)
     return fleet
-
-
-@pytest.fixture(scope="module")
-def faulted_fleet():
-    return _build_and_run(_plans())
-
-
-@pytest.fixture(scope="module")
-def clean_fleet():
-    return _build_and_run(None)
-
-
-@pytest.fixture(scope="module")
-def parallel_faulted_fleet():
-    return _build_and_run(_plans(), parallel=2)
 
 
 class TestFaultIsolation:
