@@ -9,7 +9,6 @@ from .attributes import (
     PathAttributes,
     SegmentType,
     community,
-    format_community,
 )
 from .communities import (
     ALT_PATH_MEASUREMENT,
@@ -56,7 +55,6 @@ __all__ = [
     "PathAttributes",
     "SegmentType",
     "community",
-    "format_community",
     "ALT_PATH_MEASUREMENT",
     "INJECTED",
     "OPERATOR_ASN",

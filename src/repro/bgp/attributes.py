@@ -23,7 +23,6 @@ __all__ = [
     "AsPath",
     "Community",
     "community",
-    "format_community",
     "PathAttributes",
     "AttrFlag",
     "AttrType",
@@ -100,20 +99,6 @@ class AsPath:
 
     def __contains__(self, asn: int) -> bool:
         return any(candidate == asn for candidate in self.asns())
-
-    def contains_loop(self, local_asn: int) -> bool:
-        """True if *local_asn* already appears (eBGP loop prevention)."""
-        return local_asn in self
-
-    @property
-    def origin_asn(self) -> Optional[int]:
-        """The AS that originated the route (rightmost), if unambiguous."""
-        if not self._segments:
-            return None
-        seg_type, asns = self._segments[-1]
-        if seg_type is SegmentType.AS_SET:
-            return None
-        return asns[-1]
 
     @property
     def next_hop_asn(self) -> Optional[int]:
@@ -209,10 +194,6 @@ def community(asn: int, value: int) -> Community:
     return (asn << 16) | value
 
 
-def format_community(value: Community) -> str:
-    return f"{value >> 16}:{value & 0xFFFF}"
-
-
 class AttrFlag(IntEnum):
     """Path attribute flag bits (RFC 4271 §4.3)."""
 
@@ -275,12 +256,6 @@ class PathAttributes:
 
     def with_med(self, value: Optional[int]) -> "PathAttributes":
         return replace(self, med=value)
-
-    def with_next_hop(self, family: Family, address: int) -> "PathAttributes":
-        return replace(self, next_hop=(family, address))
-
-    def with_communities(self, values: Iterable[Community]) -> "PathAttributes":
-        return replace(self, communities=frozenset(values))
 
     def add_communities(self, values: Iterable[Community]) -> "PathAttributes":
         return replace(self, communities=self.communities | frozenset(values))

@@ -117,24 +117,6 @@ class OpenMessage:
             ),
         )
 
-    @property
-    def supports_four_octet_as(self) -> bool:
-        return any(
-            cap.code == CapabilityCode.FOUR_OCTET_AS
-            for cap in self.capabilities
-        )
-
-    def supported_families(self) -> Tuple[Family, ...]:
-        families = []
-        for cap in self.capabilities:
-            if cap.code == CapabilityCode.MULTIPROTOCOL and len(cap.value) == 4:
-                afi = struct.unpack("!H", cap.value[:2])[0]
-                try:
-                    families.append(Family(afi))
-                except ValueError:
-                    continue
-        return tuple(families) or (Family.IPV4,)
-
 
 @dataclass(frozen=True)
 class UpdateMessage:
@@ -154,19 +136,6 @@ class UpdateMessage:
                 )
         if self.announced and self.attributes is None:
             raise MalformedMessage("announcement without path attributes")
-
-    @property
-    def is_withdraw_only(self) -> bool:
-        return bool(self.withdrawn) and not self.announced
-
-    @property
-    def is_end_of_rib(self) -> bool:
-        """An empty IPv4 UPDATE is the conventional End-of-RIB marker."""
-        return (
-            not self.withdrawn
-            and not self.announced
-            and self.attributes is None
-        )
 
 
 @dataclass(frozen=True)

@@ -35,27 +35,6 @@ class PeerType(Enum):
     TRANSIT = "transit"
     INTERNAL = "internal"  # iBGP, e.g. the Edge Fabric injector
 
-    @property
-    def policy_rank(self) -> int:
-        """0 = most preferred by default BGP policy (lower is better)."""
-        order = {
-            PeerType.PRIVATE: 0,
-            PeerType.PUBLIC: 1,
-            PeerType.ROUTE_SERVER: 2,
-            PeerType.TRANSIT: 3,
-            PeerType.INTERNAL: 4,
-        }
-        return order[self]
-
-    @property
-    def is_peering(self) -> bool:
-        """True for settlement-free peering (everything but transit/iBGP)."""
-        return self in (
-            PeerType.PRIVATE,
-            PeerType.PUBLIC,
-            PeerType.ROUTE_SERVER,
-        )
-
 
 @dataclass(frozen=True, order=True)
 class PeerDescriptor:

@@ -29,7 +29,6 @@ __all__ = [
     "Matcher",
     "Action",
     "match_prefix_within",
-    "match_prefix_length_at_least",
     "match_too_specific",
     "match_peer_type",
     "match_community",
@@ -63,15 +62,6 @@ def match_prefix_within(covering: Prefix) -> Matcher:
 
     def matcher(route: Route) -> bool:
         return covering.covers(route.prefix)
-
-    return matcher
-
-
-def match_prefix_length_at_least(length: int) -> Matcher:
-    """Match overly-specific prefixes (e.g. reject longer than /24)."""
-
-    def matcher(route: Route) -> bool:
-        return route.prefix.length >= length
 
     return matcher
 
@@ -218,12 +208,6 @@ class RoutePolicy:
     def apply(self, route: Route) -> Optional[Route]:
         """Evaluate and return just the transformed route (or None)."""
         return self.evaluate(route).route
-
-    def prepend_rule(self, rule: PolicyRule) -> None:
-        self.rules.insert(0, rule)
-
-    def append_rule(self, rule: PolicyRule) -> None:
-        self.rules.append(rule)
 
 
 #: Default LOCAL_PREF tiers: prefer peer routes over transit, and among

@@ -85,14 +85,6 @@ class RibChange:
     old_best: Optional[Route]
     new_best: Optional[Route]
 
-    @property
-    def is_new_prefix(self) -> bool:
-        return self.old_best is None and self.new_best is not None
-
-    @property
-    def is_prefix_gone(self) -> bool:
-        return self.old_best is not None and self.new_best is None
-
 
 class LocRib:
     """All accepted routes for all prefixes, with best-path selection.
@@ -289,17 +281,6 @@ class LocRib:
         # Copy so callers can't mutate the cached ranking.
         return list(ranked)
 
-    def routes_unranked(self, prefix: Prefix) -> List[Route]:
-        """All routes for *prefix* in arbitrary order (no decision pass)."""
-        holders = self._by_prefix.get(prefix)
-        return list(holders.values()) if holders else []
-
-    def route_from(
-        self, prefix: Prefix, source: PeerDescriptor
-    ) -> Optional[Route]:
-        holders = self._by_prefix.get(prefix)
-        return holders.get(source) if holders else None
-
     def prefixes(self, family: Optional[Family] = None) -> Iterator[Prefix]:
         for prefix in self._by_prefix.keys():
             if family is None or prefix.family is family:
@@ -309,12 +290,6 @@ class LocRib:
         """(prefix, ranked routes) for every prefix."""
         for prefix, holders in self._by_prefix.items():
             yield prefix, rank_routes(list(holders.values()), self._config)
-
-    def best_routes(self) -> Iterator[Route]:
-        for prefix in self._by_prefix.keys():
-            best = self._best_cache.get(prefix)
-            if best is not None:
-                yield best
 
     def longest_match(self, target: Prefix) -> Optional[Route]:
         """Best route of the most specific prefix covering *target*."""

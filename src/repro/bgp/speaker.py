@@ -326,14 +326,3 @@ class BgpSpeaker:
             family=fam, announced=prefixes, attributes=attributes
         )
         return self.receive_wire(peer_name, encode_message(update))
-
-    def inject_withdraw(
-        self,
-        peer_name: str,
-        prefixes: Iterable[Prefix],
-        family: Optional[Family] = None,
-    ) -> List[RouteEvent]:
-        prefixes = tuple(prefixes)
-        fam = family or (prefixes[0].family if prefixes else Family.IPV4)
-        update = UpdateMessage(family=fam, withdrawn=prefixes)
-        return self.receive_wire(peer_name, encode_message(update))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..bgp.communities import INJECTED
 from ..bgp.decision import DecisionConfig, DEFAULT_CONFIG
@@ -57,10 +57,6 @@ class PeerRegistry:
     def register(self, peer: PeerDescriptor) -> None:
         key = (peer.router, peer.address, peer.peer_asn)
         self._sessions[key] = peer
-
-    def register_all(self, peers: Iterable[PeerDescriptor]) -> None:
-        for peer in peers:
-            self.register(peer)
 
     def resolve(
         self, router: str, header: PeerHeader

@@ -21,7 +21,6 @@ from ..bgp.route import Route
 from ..bgp.speaker import BgpSpeaker, RouteEvent
 from .messages import (
     InitiationMessage,
-    PeerDownMessage,
     PeerHeader,
     PeerUpMessage,
     RouteMonitoringMessage,
@@ -66,14 +65,6 @@ class BmpExporter:
         """Emit PEER_UP (call when the session establishes)."""
         self._peers_up.add(peer.name)
         self._emit(encode_bmp(PeerUpMessage(peer=self._peer_header(peer))))
-
-    def announce_peer_down(self, peer: PeerDescriptor, reason: int = 2) -> None:
-        self._peers_up.discard(peer.name)
-        self._emit(
-            encode_bmp(
-                PeerDownMessage(peer=self._peer_header(peer), reason=reason)
-            )
-        )
 
     def terminate(self, reason: str = "shutting down") -> None:
         self._emit(encode_bmp(TerminationMessage(reason=reason)))

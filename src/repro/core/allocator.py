@@ -29,13 +29,17 @@ from typing import Dict, List, Optional
 from ..bgp.route import Route
 from ..dataplane.fib import egress_interface
 from ..netbase.addr import Prefix
-from ..netbase.units import Rate
+from ..netbase.units import Rate, mbps
 from ..topology.entities import InterfaceKey, PoP
 from .config import ControllerConfig
 from .inputs import ControllerInputs
 from .projection import Placement, Projection
 
-__all__ = ["Detour", "AllocationResult", "Allocator"]
+__all__ = ["Detour", "AllocationResult", "Allocator", "MIN_DETOUR_RATE"]
+
+#: Prefixes below this rate are never detoured (not worth an override;
+#: mirrors production's focus on the heavy hitters).
+MIN_DETOUR_RATE = mbps(1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class Allocator:
             for placement in candidates:
                 if loads[key].bits_per_second <= limit_bps:
                     break
-                if placement.rate < self.config.min_detour_rate:
+                if placement.rate < MIN_DETOUR_RATE:
                     # Candidates are heaviest-first; everything after
                     # this one is smaller still.
                     break
@@ -229,7 +233,7 @@ class Allocator:
         if prefix.length >= prefix.family.max_length:
             return []
         half_rate = placement.rate / 2.0
-        if half_rate < self.config.min_detour_rate:
+        if half_rate < MIN_DETOUR_RATE:
             return []
         routes = inputs.routes_of(prefix)
         alternates = [r for r in routes if r != placement.route]

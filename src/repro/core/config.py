@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..netbase.errors import ControllerError
-from ..netbase.units import Rate, mbps
 
 __all__ = ["ControllerConfig"]
 
@@ -25,12 +24,6 @@ class ControllerConfig:
     utilization_threshold: float = 0.95
     #: Refuse to act on route/traffic inputs older than this.
     max_input_age_seconds: float = 90.0
-    #: LOCAL_PREF for injected overrides — above every import tier, so an
-    #: injected route always wins the decision process.
-    injected_local_pref: int = 10_000
-    #: Prefixes below this rate are never detoured (not worth an
-    #: override; mirrors production's focus on the heavy hitters).
-    min_detour_rate: Rate = mbps(1)
     #: Prefer last cycle's detour target for a prefix still detoured.
     stability_preference: bool = True
     #: Enable the performance-aware second pass (paper §5).
@@ -38,8 +31,6 @@ class ControllerConfig:
     #: Detour a prefix for performance when an alternate beats the
     #: preferred path's median RTT by at least this much.
     perf_improvement_threshold_ms: float = 20.0
-    #: Cap on how many prefixes the perf-aware pass may move per cycle.
-    perf_moves_per_cycle: int = 50
     #: Consecutive bad-vote cycles before a key trips GREEN/YELLOW→RED
     #: (fast to protect).
     steering_trip_cycles: int = 2
@@ -48,8 +39,6 @@ class ControllerConfig:
     steering_recover_cycles: int = 15
     #: Consecutive good cycles that clear YELLOW back to GREEN.
     steering_yellow_recover_cycles: int = 3
-    #: EWMA smoothing factor for the per-path RTT/retransmit estimates.
-    steering_ewma_alpha: float = 0.3
     #: Signals that must agree in one cycle for it to count as bad; a
     #: single dissenting signal yields YELLOW, never RED.
     steering_votes_to_trip: int = 2
@@ -58,15 +47,6 @@ class ControllerConfig:
     #: interface's utilization over the queue line for one cycle) must
     #: not move the tier at all, or the early-warning tier itself flaps.
     steering_warn_cycles: int = 2
-    #: Flap accounting: a key exceeding this many tier transitions
-    #: within ``steering.FLAP_WINDOW_CYCLES`` cycles raises the
-    #: ``steering_flap`` health signal.  A key legitimately *tracking*
-    #: repeated faults — trip, 15-cycle recovery dwell, trip again, with
-    #: a YELLOW round-trip per episode — costs up to 6 transitions per
-    #: 60-cycle chaos trial (10/100).  12 keeps the gate quiet for
-    #: fault-tracking while rates the hysteresis should make impossible
-    #: (YELLOW toggling every few cycles reaches 50/100) still breach.
-    steering_flap_budget: int = 12
     #: Safety rail: at most this many *new* detours per cycle (kept
     #: detours are free).  A controller fed garbage inputs can then
     #: shift only a bounded amount of traffic before a human notices.
@@ -103,9 +83,9 @@ class ControllerConfig:
     #: incrementally-maintained loads against it.
     full_recompute_every: int = 16
     #: Collector resubscription: first retry after this many seconds of
-    #: a stale route feed, then exponential backoff.
+    #: a stale route feed, then exponential backoff
+    #: (``pipeline.RESUBSCRIBE_BACKOFF``).
     resubscribe_initial_seconds: float = 30.0
-    resubscribe_backoff_multiplier: float = 2.0
     #: Give up resubscribing (and raise an operator-facing gauge) after
     #: this many failed attempts; reset once the feed is healthy again.
     resubscribe_max_attempts: int = 6
@@ -119,9 +99,16 @@ class ControllerConfig:
             )
         if self.max_input_age_seconds <= 0:
             raise ControllerError("max_input_age_seconds must be positive")
-        if self.injected_local_pref <= 1000:
+        if self.perf_improvement_threshold_ms < 0:
             raise ControllerError(
-                "injected_local_pref must clear every import tier"
+                "perf_improvement_threshold_ms must be non-negative"
+            )
+        if (
+            self.max_new_detours_per_cycle is not None
+            and self.max_new_detours_per_cycle < 0
+        ):
+            raise ControllerError(
+                "max_new_detours_per_cycle must be non-negative"
             )
         if self.fail_static_after_cycles < 1:
             raise ControllerError(
@@ -134,10 +121,6 @@ class ControllerConfig:
         if self.resubscribe_initial_seconds <= 0:
             raise ControllerError(
                 "resubscribe_initial_seconds must be positive"
-            )
-        if self.resubscribe_backoff_multiplier < 1.0:
-            raise ControllerError(
-                "resubscribe_backoff_multiplier must be >= 1"
             )
         if self.resubscribe_max_attempts < 1:
             raise ControllerError(
@@ -155,10 +138,6 @@ class ControllerConfig:
             raise ControllerError(
                 "steering_yellow_recover_cycles must be at least 1"
             )
-        if not 0.0 < self.steering_ewma_alpha <= 1.0:
-            raise ControllerError(
-                "steering_ewma_alpha must be in (0, 1]"
-            )
         if self.steering_votes_to_trip < 1:
             raise ControllerError(
                 "steering_votes_to_trip must be at least 1"
@@ -166,8 +145,4 @@ class ControllerConfig:
         if self.steering_warn_cycles < 1:
             raise ControllerError(
                 "steering_warn_cycles must be at least 1"
-            )
-        if self.steering_flap_budget < 1:
-            raise ControllerError(
-                "steering_flap_budget must be at least 1"
             )

@@ -24,7 +24,6 @@ import time as _time
 from typing import Dict, Optional
 
 from ..measurement.altpath import AltPathMonitor
-from ..netbase.addr import Prefix
 from ..netbase.errors import StaleInputError
 from ..obs.logs import get_logger, log_event
 from ..obs.telemetry import Telemetry
@@ -478,9 +477,6 @@ class EdgeFabricController:
         if self.aggregator is None:
             return flushed
         return self.aggregator.flush(now)
-
-    def active_override_targets(self) -> Dict[Prefix, str]:
-        return self.overrides.active_targets()
 
     def installed_prefixes(self):
         """Prefixes the injector should currently hold, sorted."""

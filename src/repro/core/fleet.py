@@ -441,9 +441,3 @@ class FleetDeployment:
             if firing:
                 out[name] = firing
         return out
-
-    def total_active_overrides(self) -> int:
-        return sum(
-            len(deployment.controller.overrides)
-            for deployment in self.deployments.values()
-        )

@@ -33,7 +33,11 @@ from .config import ControllerConfig
 from ..bgp.communities import INJECTED
 from .overrides import Override, OverrideDiff
 
-__all__ = ["BgpInjector"]
+__all__ = ["BgpInjector", "INJECTED_LOCAL_PREF"]
+
+#: LOCAL_PREF for injected overrides — above every import tier, so an
+#: injected route always wins the decision process.
+INJECTED_LOCAL_PREF = 10_000
 
 #: Address the injector's sessions use (a loopback on the controller).
 _INJECTOR_ADDRESS = 0x7F000A01
@@ -82,7 +86,7 @@ class BgpInjector:
             origin=target.attributes.origin,
             as_path=target.attributes.as_path,
             next_hop=next_hop,
-            local_pref=self.config.injected_local_pref,
+            local_pref=INJECTED_LOCAL_PREF,
             communities=target.attributes.communities | {INJECTED},
         )
 

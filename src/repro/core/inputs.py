@@ -17,7 +17,7 @@ we?" outside a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..bgp.route import Route
 from ..bmp.collector import BmpCollector
@@ -88,24 +88,12 @@ class ControllerInputs:
     dirty_prefixes: Optional[Set[Prefix]] = field(
         repr=False, compare=False, default=None
     )
-    #: The subset of :attr:`dirty_prefixes` dirtied by *route* churn
-    #: (RIB journal), as opposed to rate movement.  A placed prefix in
-    #: here may have gained or lost alternates even if its preferred
-    #: route is unchanged.  ``None`` whenever ``dirty_prefixes`` is.
-    route_dirty_prefixes: Optional[Set[Prefix]] = field(
-        repr=False, compare=False, default=None
-    )
     #: Pre-accumulated total of :attr:`traffic` in bits/second,
     #: maintained by the assembler so reporting needn't re-sum the full
     #: table every cycle.  ``None`` falls back to summing.
     _total_bps: Optional[float] = field(
         repr=False, compare=False, default=None
     )
-
-    @property
-    def is_full(self) -> bool:
-        """True when this snapshot carries no delta information."""
-        return self.dirty_prefixes is None
 
     def routes_of(self, prefix: Prefix) -> List[Route]:
         """Available eBGP routes for *prefix*, decision-ranked.
@@ -216,7 +204,7 @@ class InputAssembler:
         freshness = self.freshness(now)
         if freshness.stale:
             raise StaleInputError(freshness.reason)
-        dirty, route_dirty = self._refresh_traffic(now)
+        dirty = self._refresh_traffic(now)
         if dirty is None:
             self.full_snapshots += 1
         else:
@@ -232,17 +220,14 @@ class InputAssembler:
             _collector=self.bmp,
             freshness=freshness,
             dirty_prefixes=dirty,
-            route_dirty_prefixes=route_dirty,
             _total_bps=self._total_bps,
         )
 
-    def _refresh_traffic(
-        self, now: float
-    ) -> "Tuple[Optional[Set[Prefix]], Optional[Set[Prefix]]]":
+    def _refresh_traffic(self, now: float) -> Optional[Set[Prefix]]:
         """Bring the maintained traffic table current.
 
-        Returns ``(dirty, route_dirty)``; both ``None`` when only a
-        full rebuild was possible.
+        Returns the dirty prefixes (rate or route churn), or ``None``
+        when only a full rebuild was possible.
         """
         rib = self.bmp.rib
         if (
@@ -275,14 +260,13 @@ class InputAssembler:
                 total += rate.bits_per_second
         self._total_bps = total
         if changed_routes:
-            return changed_rates | changed_routes, changed_routes
-        return changed_rates, set()
+            return changed_rates | changed_routes
+        return changed_rates
 
-    def _rebuild_traffic(
-        self, now: float
-    ) -> "Tuple[Optional[Set[Prefix]], Optional[Set[Prefix]]]":
+    def _rebuild_traffic(self, now: float) -> None:
+        """Rebuild the table from scratch; ``None`` is the no-delta
+        answer :meth:`_refresh_traffic` passes on."""
         self._traffic = self.sflow.prefix_rates(now)
         self._total_bps = sum(
             rate.bits_per_second for rate in self._traffic.values()
         )
-        return None, None

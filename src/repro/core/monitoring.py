@@ -69,9 +69,9 @@ class ControllerMonitor:
 
     Every report also lands in :attr:`series` — churn per cycle (all
     cycles: skipped ones still carry fail-static withdrawals), plus
-    detoured-fraction / detour-count / runtime / unresolved for active
-    cycles and a 0/1 skipped marker — so run-level queries read bounded
-    ring series instead of rescanning the report list.
+    detoured-fraction / unresolved for active cycles and a 0/1 skipped
+    marker — so run-level queries read bounded ring series instead of
+    rescanning the report list.
     """
 
     reports: List[CycleReport] = field(default_factory=list)
@@ -87,8 +87,6 @@ class ControllerMonitor:
             series.record(
                 "detoured_fraction", time, report.detoured_fraction
             )
-            series.record("detour_count", time, report.detour_count)
-            series.record("runtime", time, report.runtime_seconds)
             series.record(
                 "unresolved", time, 1.0 if report.unresolved else 0.0
             )
@@ -106,12 +104,6 @@ class ControllerMonitor:
         """(time, fraction of traffic detoured) per active cycle."""
         fractions = self.series.get("detoured_fraction")
         return fractions.points() if fractions else []
-
-    def detour_count_series(self) -> List[tuple]:
-        counts = self.series.get("detour_count")
-        if counts is None:
-            return []
-        return [(time, int(value)) for time, value in counts.points()]
 
     def total_churn(self) -> int:
         churn = self.series.get("churn")
@@ -137,9 +129,3 @@ class ControllerMonitor:
     def unresolved_overload_cycles(self) -> int:
         unresolved = self.series.get("unresolved")
         return int(sum(unresolved.values())) if unresolved else 0
-
-    def mean_runtime(self) -> float:
-        runtime = self.series.get("runtime")
-        if runtime is None or not len(runtime):
-            return 0.0
-        return runtime.mean()

@@ -45,7 +45,12 @@ __all__ = [
     "RunRecord",
     "CollectorResubscriber",
     "PopDeployment",
+    "RESUBSCRIBE_BACKOFF",
 ]
+
+#: Multiplier between successive collector resubscription attempts
+#: (exponential backoff from ``resubscribe_initial_seconds``).
+RESUBSCRIBE_BACKOFF = 2.0
 
 
 class CollectorResubscriber:
@@ -116,7 +121,7 @@ class CollectorResubscriber:
         )
         self._next_attempt_at = now + (
             self.config.resubscribe_initial_seconds
-            * self.config.resubscribe_backoff_multiplier ** exponent
+            * RESUBSCRIBE_BACKOFF ** exponent
         )
         return True
 
@@ -145,35 +150,9 @@ class RunRecord:
         default=None, repr=False, compare=False
     )
 
-    def write_telemetry_jsonl(self, path) -> int:
-        """Persist attached telemetry as JSONL; returns lines written."""
-        if self.telemetry is None:
-            raise ValueError("no telemetry attached to this record")
-        return self.telemetry.write_jsonl(path)
-
     def total_dropped_bits(self, tick_seconds: float) -> float:
         return sum(
             t.dropped.bits_per_second * tick_seconds for t in self.ticks
-        )
-
-    def total_offered_bits(self, tick_seconds: float) -> float:
-        return sum(
-            t.offered.bits_per_second * tick_seconds for t in self.ticks
-        )
-
-    def drop_fraction(self, tick_seconds: float) -> float:
-        """Dropped bits as a fraction of offered bits over the run."""
-        offered = self.total_offered_bits(tick_seconds)
-        if offered == 0.0:
-            return 0.0
-        return self.total_dropped_bits(tick_seconds) / offered
-
-    def peak_offered(self) -> Rate:
-        return Rate(
-            max(
-                (t.offered.bits_per_second for t in self.ticks),
-                default=0.0,
-            )
         )
 
     def peak_detoured_fraction(self) -> float:

@@ -11,10 +11,11 @@ synthetically:
   :meth:`BmpCollector.ingest_route` (identical RIB versioning/journal
   behaviour, no BMP wire codec), carrying the LOCAL_PREF the standard
   import policy would have assigned;
-- rate estimates go straight into :meth:`SflowCollector.add_estimate`
-  (identical estimator arithmetic, no sFlow datagrams), with the
-  estimator window spanning the whole run so a prefix fed once holds a
-  constant rate until churn touches it.
+- per-prefix byte estimates go straight into
+  :meth:`SflowCollector.add_estimate` (the estimator ``feed_many``
+  drives, no sFlow datagrams and no ifIndex), with the estimator window
+  spanning the whole run so a prefix fed once holds a constant rate
+  until churn touches it.
 
 Each prefix prefers a PNI route with a transit alternate.  A configured
 slice of prefixes lands on deliberately under-provisioned PNIs, so the
@@ -416,10 +417,8 @@ class ScaleScenario:
         window = self.config.window_seconds
         sflow = self.sflow
         for index in range(self.config.total_prefix_count):
-            session = self._pni_session(index)
             sflow.add_estimate(
                 self._prefixes[index],
-                (session.router, session.interface),
                 self._rate_bps[index] * window / 8.0,
                 0.0,
             )
@@ -444,12 +443,8 @@ class ScaleScenario:
                     )
             else:
                 bump = self._rate_bps[index] * rng.uniform(0.02, 0.10)
-                session = self._pni_session(index)
                 self.sflow.add_estimate(
-                    self._prefixes[index],
-                    (session.router, session.interface),
-                    bump * window / 8.0,
-                    now,
+                    self._prefixes[index], bump * window / 8.0, now
                 )
 
     # -- driving --------------------------------------------------------------

@@ -48,7 +48,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..dataplane.fib import egress_interface
 from ..netbase.units import Rate
 from ..obs.logs import get_logger, log_event
-from .allocator import Detour
+from .allocator import MIN_DETOUR_RATE, Detour
 
 __all__ = [
     "TIER_GREEN",
@@ -63,6 +63,9 @@ __all__ = [
     "QUEUE_UTILIZATION",
     "RECOVERY_FRACTION",
     "FLAP_WINDOW_CYCLES",
+    "FLAP_BUDGET",
+    "EWMA_ALPHA",
+    "PERF_MOVES_PER_CYCLE",
     "MAX_KEYS",
 ]
 
@@ -82,9 +85,22 @@ QUEUE_UTILIZATION = 0.92
 #: While RED, the RTT/retransmit trip lines shrink to this fraction:
 #: recovery demands clear health, not hovering at the trip line.
 RECOVERY_FRACTION = 0.5
-#: The window, in cycles, over which ``steering_flap_budget`` tier
+#: The window, in cycles, over which :data:`FLAP_BUDGET` tier
 #: transitions per key are counted.
 FLAP_WINDOW_CYCLES = 100
+#: Flap accounting: a key exceeding this many tier transitions within
+#: :data:`FLAP_WINDOW_CYCLES` cycles raises the ``steering_flap`` health
+#: signal.  A key legitimately *tracking* repeated faults — trip,
+#: 15-cycle recovery dwell, trip again, with a YELLOW round-trip per
+#: episode — costs up to 6 transitions per 60-cycle chaos trial
+#: (10/100).  12 keeps the gate quiet for fault-tracking while rates the
+#: hysteresis should make impossible (YELLOW toggling every few cycles
+#: reaches 50/100) still breach.
+FLAP_BUDGET = 12
+#: EWMA smoothing factor for the per-path RTT/retransmit estimates.
+EWMA_ALPHA = 0.3
+#: Cap on how many prefixes the perf-aware pass may move per cycle.
+PERF_MOVES_PER_CYCLE = 50
 #: Cap on tracked ⟨prefix, path⟩ keys (LRU-evicted beyond it).
 MAX_KEYS = 4096
 
@@ -226,10 +242,8 @@ class SteeringEngine:
         stays picklable; ``None`` makes the queue signal abstain.
         """
         self.cycles += 1
-        config = self.config
         monitor = altpath.monitor
         measured_ranks = altpath.policy.measured_ranks
-        alpha = config.steering_ewma_alpha
         added: List[Detour] = []
         seen: set = set()
 
@@ -248,10 +262,10 @@ class SteeringEngine:
                 continue
             state = self._state_for(prefix_str, pref_session)
             state.rtt_ewma_ms = _ewma(
-                state.rtt_ewma_ms, pref_stats.median_rtt_ms, alpha
+                state.rtt_ewma_ms, pref_stats.median_rtt_ms, EWMA_ALPHA
             )
             state.retx_ewma = _ewma(
-                state.retx_ewma, pref_stats.retransmit_rate, alpha
+                state.retx_ewma, pref_stats.retransmit_rate, EWMA_ALPHA
             )
 
             best = self._best_alternate(
@@ -272,7 +286,7 @@ class SteeringEngine:
                 state.target_session = ""
                 continue
             state.target_session = best_route.source.name
-            if len(added) >= config.perf_moves_per_cycle:
+            if len(added) >= PERF_MOVES_PER_CYCLE:
                 continue
             detour = self._steer(
                 prefix, preferred, best_route, detours, loads, inputs,
@@ -456,7 +470,7 @@ class SteeringEngine:
         if prefix in detours:
             return None  # capacity detours take precedence
         rate = inputs.traffic.get(prefix)
-        if rate is None or rate < config.min_detour_rate:
+        if rate is None or rate < MIN_DETOUR_RATE:
             return None
         from_key = egress_interface(pop, preferred)
         to_key = egress_interface(pop, target)
@@ -509,7 +523,6 @@ class SteeringEngine:
 
     def _best_alternate(self, prefix_str, alternates, stats_by_session):
         """Lowest-RTT measured alternate, EWMA-smoothed; None without data."""
-        alpha = self.config.steering_ewma_alpha
         best = None
         slots = self._alt_ewma.setdefault(prefix_str, {})
         for route in alternates:
@@ -518,8 +531,8 @@ class SteeringEngine:
             if stats is None:
                 continue
             slot = slots.setdefault(session, [None, None])
-            slot[0] = _ewma(slot[0], stats.median_rtt_ms, alpha)
-            slot[1] = _ewma(slot[1], stats.retransmit_rate, alpha)
+            slot[0] = _ewma(slot[0], stats.median_rtt_ms, EWMA_ALPHA)
+            slot[1] = _ewma(slot[1], stats.retransmit_rate, EWMA_ALPHA)
             candidate = (slot[0], session, route, slot[1])
             if best is None or candidate[:2] < best[:2]:
                 best = candidate
@@ -568,13 +581,13 @@ class SteeringEngine:
         """1.0 when any key burned its transition budget in the window.
 
         The window is :data:`FLAP_WINDOW_CYCLES` × the cycle period and
-        the budget is the config's ``steering_flap_budget`` transitions,
+        the budget is :data:`FLAP_BUDGET` transitions,
         making this the ``override_flap``-compatible signal the health
         engine samples.
         """
         window = FLAP_WINDOW_CYCLES * self.config.cycle_seconds
         edge = now - window
-        budget = self.config.steering_flap_budget
+        budget = FLAP_BUDGET
         for state in self._states.values():
             recent = sum(
                 1 for time in state.transition_times if time >= edge

@@ -2,14 +2,12 @@
 
 from .fib import egress_interface, resolve_egress
 from .metrics import InterfaceSample, MetricsStore, OverloadSummary
-from .pbr import PbrTable
 from .popview import PopView
 from .simulator import PopSimulator, TickResult
 
 __all__ = [
     "egress_interface",
     "resolve_egress",
-    "PbrTable",
     "InterfaceSample",
     "MetricsStore",
     "OverloadSummary",

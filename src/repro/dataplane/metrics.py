@@ -39,12 +39,6 @@ class InterfaceSample:
     def is_overloaded(self) -> bool:
         return self.offered > self.capacity
 
-    @property
-    def loss_fraction(self) -> float:
-        if self.offered.is_zero():
-            return 0.0
-        return self.dropped / self.offered
-
 
 @dataclass(frozen=True)
 class OverloadSummary:
@@ -114,13 +108,6 @@ class MetricsStore:
         return sum(
             summary.total_dropped_bits
             for summary in self.overload_summaries()
-        )
-
-    def overloaded_interface_count(self) -> int:
-        return sum(
-            1
-            for summary in self.overload_summaries()
-            if summary.overloaded_samples > 0
         )
 
     def utilization_at(self, key: InterfaceKey, time: float) -> float:

@@ -32,7 +32,7 @@ from ..topology.builder import WiredPop
 from ..topology.entities import InterfaceKey
 from ..traffic.demand import DemandModel
 from ..traffic.flows import FlowSynthesizer
-from .fib import egress_interface, split_shares
+from .fib import split_shares
 from .metrics import InterfaceSample, MetricsStore
 from .popview import PopView
 
@@ -126,13 +126,6 @@ class PopSimulator:
                 sampling_rate=sampling_rate,
                 seed=seed + index,
             )
-
-    @property
-    def agent_addresses(self) -> Dict[str, int]:
-        return {
-            router: agent.agent_address
-            for router, agent in self.agents.items()
-        }
 
     def tick(self, now: float) -> TickResult:
         """Advance the dataplane to time *now* and forward one interval.
@@ -259,31 +252,3 @@ class PopSimulator:
             unrouted=Rate(unrouted_bps),
             datagrams=datagrams,
         )
-
-    # -- what-if projection (used by experiments, not the controller) -------------
-
-    def project_bgp_only_loads(
-        self, rates: Optional[Dict[Prefix, Rate]] = None, now: float = 0.0
-    ) -> Dict[InterfaceKey, Rate]:
-        """Interface loads if BGP policy alone placed today's demand.
-
-        Ignores injected routes: ranks each prefix's *eBGP* routes and
-        assigns all its traffic to the winner — the paper's "what would
-        happen without Edge Fabric" projection.
-        """
-        if rates is None:
-            rates = self.demand.rates(now)
-        loads_bps: Dict[InterfaceKey, float] = {}
-        for prefix, rate in rates.items():
-            routes = [
-                route
-                for route in self.view.routes_for(prefix)
-                if not route.is_injected
-            ]
-            if not routes:
-                continue
-            key = egress_interface(self.wired.pop, routes[0])
-            loads_bps[key] = (
-                loads_bps.get(key, 0.0) + rate.bits_per_second
-            )
-        return {key: Rate(value) for key, value in loads_bps.items()}

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from ..core.steering import FLAP_WINDOW_CYCLES
+from ..core.steering import FLAP_BUDGET, FLAP_WINDOW_CYCLES
 from .harness import FaultInjector
 from .plan import FaultPlan
 from .scenario import build_chaos_deployment
@@ -133,9 +133,7 @@ def run_stability_trial(
     assert engine is not None  # steering=True armed the closed loop
     # Normalize the configured budget to per-100-cycles so reports are
     # comparable across budget settings.
-    budget = (
-        engine.config.steering_flap_budget * 100.0 / FLAP_WINDOW_CYCLES
-    )
+    budget = FLAP_BUDGET * 100.0 / FLAP_WINDOW_CYCLES
     rates = {
         f"{prefix} via {path}": rate
         for (prefix, path), rate in engine.flap_rates().items()

@@ -14,7 +14,7 @@ comparisons the paper plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -48,12 +48,6 @@ class DscpPolicy:
         if not 0 <= rank < len(self.dscp_of_rank):
             raise MeasurementError(f"no DSCP assigned for path rank {rank}")
         return self.dscp_of_rank[rank]
-
-    def rank_for(self, dscp: int) -> Optional[int]:
-        try:
-            return self.dscp_of_rank.index(dscp)
-        except ValueError:
-            return None
 
     @property
     def measured_ranks(self) -> int:
@@ -184,10 +178,3 @@ class AltPathMonitor:
                 comparison.median_rtt_delta_ms
             )
         return grouped
-
-    def better_alternate_fraction(self, rank: int = 1) -> float:
-        """Fraction of prefixes whose rank-N alternate beats preferred."""
-        deltas = self.rtt_deltas_by_rank().get(rank, [])
-        if not deltas:
-            return 0.0
-        return sum(1 for delta in deltas if delta < 0) / len(deltas)

@@ -11,11 +11,9 @@ from .asn import (
 )
 from .errors import (
     AddressError,
-    AllocationError,
     CodecError,
     ControllerError,
     DataplaneError,
-    ExperimentError,
     InjectionError,
     MalformedMessage,
     MeasurementError,
@@ -31,7 +29,7 @@ from .errors import (
 )
 from .intern import Interner
 from .trie import PrefixMap, RadixTrie
-from .units import Rate, bps, gbps, kbps, mbps, tbps
+from .units import Rate, bps, gbps, mbps
 
 __all__ = [
     "Family",
@@ -49,10 +47,8 @@ __all__ = [
     "RadixTrie",
     "Rate",
     "bps",
-    "kbps",
     "mbps",
     "gbps",
-    "tbps",
     "ReproError",
     "AddressError",
     "CodecError",
@@ -68,7 +64,5 @@ __all__ = [
     "MeasurementError",
     "ControllerError",
     "StaleInputError",
-    "AllocationError",
     "InjectionError",
-    "ExperimentError",
 ]

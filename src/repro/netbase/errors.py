@@ -26,9 +26,7 @@ __all__ = [
     "MeasurementError",
     "ControllerError",
     "StaleInputError",
-    "AllocationError",
     "InjectionError",
-    "ExperimentError",
 ]
 
 
@@ -108,13 +106,5 @@ class StaleInputError(ControllerError):
     """
 
 
-class AllocationError(ControllerError):
-    """The allocator could not produce a feasible detour assignment."""
-
-
 class InjectionError(ControllerError):
     """The BGP injector failed to enforce an override."""
-
-
-class ExperimentError(ReproError):
-    """An experiment harness was configured inconsistently."""

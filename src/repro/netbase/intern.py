@@ -48,7 +48,7 @@ class Interner(Generic[K]):
     >>> interner = Interner()
     >>> interner.intern("a"), interner.intern("b"), interner.intern("a")
     (0, 1, 0)
-    >>> interner.key_of(1)
+    >>> interner.keys[1]
     'b'
     """
 
@@ -74,23 +74,9 @@ class Interner(Generic[K]):
         self._keys.append(key)
         return assigned
 
-    def intern_all(self, keys) -> None:
-        """Bulk-intern *keys* in order (ids follow iteration order).
-
-        Seeding an interner from a key table this way gives every
-        attached consumer the same id space as the table's row order,
-        so columnar state can be exchanged by row index.
-        """
-        for key in keys:
-            self.intern(key)
-
     def id_of(self, key: K) -> Optional[int]:
         """The id for *key* if it has been interned, else None."""
         return self._ids.get(key)
-
-    def key_of(self, ident: int) -> K:
-        """The key holding id *ident* (raises IndexError if unassigned)."""
-        return self._keys[ident]
 
     @property
     def keys(self) -> List[K]:
@@ -118,10 +104,6 @@ class Interner(Generic[K]):
         silently corrupting those structures.
         """
         self._consumers.append(invalidate)
-
-    def unregister_consumer(self, invalidate: Callable[[], None]) -> None:
-        """Remove a previously registered consumer (ValueError if absent)."""
-        self._consumers.remove(invalidate)
 
     def clear(self) -> None:
         """Wipe the id space; refused while consumers are registered.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from functools import total_ordering
 
-__all__ = ["Rate", "bps", "kbps", "mbps", "gbps", "tbps"]
+__all__ = ["Rate", "bps", "mbps", "gbps"]
 
 _KILO = 1_000.0
 _MEGA = 1_000_000.0
@@ -53,10 +53,6 @@ class Rate:
     @property
     def bits_per_second(self) -> float:
         return self._bps
-
-    @property
-    def megabits_per_second(self) -> float:
-        return self._bps / _MEGA
 
     @property
     def gigabits_per_second(self) -> float:
@@ -149,11 +145,6 @@ def bps(value: float) -> Rate:
     return Rate(value)
 
 
-def kbps(value: float) -> Rate:
-    """A rate expressed in kilobits per second."""
-    return Rate(value * _KILO)
-
-
 def mbps(value: float) -> Rate:
     """A rate expressed in megabits per second."""
     return Rate(value * _MEGA)
@@ -162,8 +153,3 @@ def mbps(value: float) -> Rate:
 def gbps(value: float) -> Rate:
     """A rate expressed in gigabits per second."""
     return Rate(value * _GIGA)
-
-
-def tbps(value: float) -> Rate:
-    """A rate expressed in terabits per second."""
-    return Rate(value * _TERA)

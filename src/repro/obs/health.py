@@ -701,9 +701,12 @@ class HealthEngine:
                 signals["steering_flap"] = flapping
                 self._last_steering = steering.tier_counts()
                 if flapping:
-                    from ..core.steering import FLAP_WINDOW_CYCLES
+                    from ..core.steering import (
+                        FLAP_BUDGET,
+                        FLAP_WINDOW_CYCLES,
+                    )
 
-                    budget = steering.config.steering_flap_budget
+                    budget = FLAP_BUDGET
                     window = FLAP_WINDOW_CYCLES
                     context["steering_flap"] = (
                         f"a steering key exceeded {budget} tier "

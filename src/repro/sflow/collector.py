@@ -1,4 +1,4 @@
-"""sFlow collector: samples in, per-prefix and per-interface rates out.
+"""sFlow collector: samples in, per-destination-prefix rates out.
 
 Scaling follows the sFlow standard: a sample taken at 1-in-N stands for N
 packets, so its frame length contributes ``frame_length * N`` bytes to the
@@ -9,7 +9,8 @@ callback — in the full pipeline that is a longest-prefix match against the
 BMP collector's RIB, the same join production Edge Fabric performs between
 its Scuba traffic tables and its route store.  Addresses that resolve to
 no routed prefix are counted separately (``unroutable_bytes``) so tests
-can assert nothing silently disappears.
+can assert nothing silently disappears.  Interface load is not measured
+here: the controller projects it from these rates and the routes.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class FeedStats(NamedTuple):
 #: Resolves a destination address to the routed prefix covering it.
 PrefixResolver = Callable[[Family, int], Optional[Prefix]]
 
-#: Key identifying an egress interface PoP-wide.
-InterfaceKey = Tuple[str, str]  # (router, interface name)
-
 
 class SflowCollector:
     """Aggregates sampled traffic into rate estimates."""
@@ -53,7 +51,7 @@ class SflowCollector:
         telemetry: Optional[Telemetry] = None,
         change_log_limit: Optional[int] = None,
     ) -> None:
-        """*change_log_limit* bounds each estimator's change log (the
+        """*change_log_limit* bounds the estimator's change log (the
         structure behind :meth:`changed_prefixes`).  The default suits
         tens-of-thousands-of-prefixes tables; full-table deployments
         must size it past one whole table refresh, or the first bulk
@@ -83,7 +81,7 @@ class SflowCollector:
         )
         self._interfaces_by_router: Dict[str, InterfaceIndexMap] = {}
         self._router_by_agent: Dict[int, str] = {}
-        # Columnar estimators: bit-identical to RateEstimator (the
+        # Columnar estimator: bit-identical to RateEstimator (the
         # parity suite enforces it) with vectorized snapshots, which is
         # what makes full-table rates() affordable every cycle.
         estimator_kwargs: Dict[str, object] = {}
@@ -92,12 +90,6 @@ class SflowCollector:
         self._prefix_rates: ColumnarRateEstimator[Prefix] = (
             ColumnarRateEstimator(window_seconds, **estimator_kwargs)
         )
-        self._interface_rates: ColumnarRateEstimator[InterfaceKey] = (
-            ColumnarRateEstimator(window_seconds, **estimator_kwargs)
-        )
-        self._prefix_interface_rates: ColumnarRateEstimator[
-            Tuple[Prefix, InterfaceKey]
-        ] = ColumnarRateEstimator(window_seconds, **estimator_kwargs)
         self.unroutable_bytes = 0.0
         self.datagrams = 0
         self.samples = 0
@@ -182,14 +174,10 @@ class SflowCollector:
                     flow_bytes.get(key, 0.0) + float(frame_length * rate)
                 )
 
-        interface_bytes: Dict[InterfaceKey, float] = {}
         prefix_bytes: Dict[Prefix, float] = {}
-        pair_bytes: Dict[Tuple[Prefix, InterfaceKey], float] = {}
         for (router, out_if, afi, dst), estimated in flow_bytes.items():
             try:
-                interface_name = self._interfaces_by_router[router].name_of(
-                    out_if
-                )
+                self._interfaces_by_router[router].name_of(out_if)
             except TrafficError:
                 # Structurally valid sample pointing at an ifIndex the
                 # router never registered: wire garbage, count and drop.
@@ -197,24 +185,14 @@ class SflowCollector:
                     raise
                 decode_errors += 1
                 continue
-            interface_key = (router, interface_name)
-            interface_bytes[interface_key] = (
-                interface_bytes.get(interface_key, 0.0) + estimated
-            )
             prefix = self._resolver(Family(afi), dst)
             if prefix is None:
                 self.unroutable_bytes += estimated
                 continue
             prefix_bytes[prefix] = prefix_bytes.get(prefix, 0.0) + estimated
-            pair = (prefix, interface_key)
-            pair_bytes[pair] = pair_bytes.get(pair, 0.0) + estimated
 
-        for interface_key, estimated in interface_bytes.items():
-            self._interface_rates.add(interface_key, estimated, now)
         for prefix, estimated in prefix_bytes.items():
             self._prefix_rates.add(prefix, estimated, now)
-        for pair, estimated in pair_bytes.items():
-            self._prefix_interface_rates.add(pair, estimated, now)
 
         if datagram_count:
             self._m_datagrams.inc(datagram_count)
@@ -244,35 +222,22 @@ class SflowCollector:
         )
 
     def add_estimate(
-        self,
-        prefix: Prefix,
-        interface_key: InterfaceKey,
-        byte_count: float,
-        now: float,
+        self, prefix: Prefix, byte_count: float, now: float
     ) -> None:
         """Feed one pre-aggregated byte estimate, bypassing the codec.
 
-        Synthetic-scale harnesses use this to drive the same three
-        estimators ``feed_many`` drives — identical rate arithmetic —
-        without paying wire encode/decode for tens of thousands of
-        prefixes per tick.
+        Synthetic-scale harnesses use this to drive the same estimator
+        ``feed_many`` drives — identical rate arithmetic — without
+        paying wire encode/decode for tens of thousands of prefixes per
+        tick.
         """
-        self._interface_rates.add(interface_key, byte_count, now)
         self._prefix_rates.add(prefix, byte_count, now)
-        self._prefix_interface_rates.add(
-            (prefix, interface_key), byte_count, now
-        )
         self.samples += 1
 
     # -- queries -------------------------------------------------------------------
 
     def prefix_rate(self, prefix: Prefix, now: float) -> Rate:
         return self._prefix_rates.rate(prefix, now)
-
-    def interface_rate(
-        self, router: str, interface: str, now: float
-    ) -> Rate:
-        return self._interface_rates.rate((router, interface), now)
 
     def prefix_rates(self, now: float) -> Dict[Prefix, Rate]:
         """Every prefix with measured traffic and its current rate."""
@@ -288,18 +253,6 @@ class SflowCollector:
         can't be derived and the caller must take a full snapshot.
         """
         return self._prefix_rates.changed_keys(since, now)
-
-    def interface_rates(self, now: float) -> Dict[InterfaceKey, Rate]:
-        return self._interface_rates.rates(now)
-
-    def prefix_interface_rates(
-        self, now: float
-    ) -> Dict[Tuple[Prefix, InterfaceKey], Rate]:
-        return self._prefix_interface_rates.rates(now)
-
-    def prefix_window_stats(self, prefix: Prefix, now: float):
-        """Window diagnostics for one prefix (safe on empty windows)."""
-        return self._prefix_rates.window_stats(prefix, now)
 
     # -- health -------------------------------------------------------------------
 

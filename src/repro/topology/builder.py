@@ -108,12 +108,6 @@ class WiredPop:
     public_peer_asns: List[int] = field(default_factory=list)
     route_server_member_asns: List[int] = field(default_factory=list)
 
-    def speaker_of(self, router: str) -> BgpSpeaker:
-        try:
-            return self.speakers[router]
-        except KeyError:
-            raise TopologyError(f"unknown router {router}") from None
-
     def popular_prefixes(self) -> List[Prefix]:
         """Prefixes inside private peers' cones — the high-volume set.
 

@@ -118,12 +118,6 @@ class PoP:
     def capacity_of(self, key: InterfaceKey) -> Rate:
         return self.interface(key).capacity
 
-    def session_by_name(self, name: str) -> PeerDescriptor:
-        try:
-            return self._sessions_by_name[name]
-        except KeyError:
-            raise TopologyError(f"unknown session {name}") from None
-
     def session_by_address(self, address: int) -> Optional[PeerDescriptor]:
         return self._sessions_by_address.get(address)
 

@@ -171,10 +171,10 @@ class ScalePop:
 
     One router, one big transit port, and a row of PNI ports.  Unlike
     :class:`~.builder.WiredPop` there is no synthetic Internet behind it:
-    the scale harness (:mod:`repro.core.scale`) ingests routes and rate
-    estimates directly into the collectors, so only the PoP structure,
-    the peer registry, and a speaker for the injector's iBGP session are
-    wired here.
+    the scale harness (:mod:`repro.core.scale`) ingests routes into the
+    BMP collector and per-prefix byte estimates into the sFlow collector
+    directly, so only the PoP structure, the peer registry, and a speaker
+    for the injector's iBGP session are wired here.
     """
 
     pop: PoP

@@ -190,9 +190,6 @@ class DemandModel:
             values = values * flash
         return values
 
-    def total_rate(self, now: float) -> Rate:
-        return Rate(float(self.rate_array(now).sum()))
-
     def weight_of(self, prefix: Prefix) -> float:
         index = self._index_of.get(prefix)
         if index is None:

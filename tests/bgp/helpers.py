@@ -1,11 +1,19 @@
 """Shared builders for BGP tests."""
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.messages import UpdateMessage, encode_message
 from repro.bgp.peering import PeerDescriptor, PeerType
 from repro.bgp.route import Route
 from repro.netbase.addr import Family, Prefix
 
 DEFAULT_PREFIX = Prefix.parse("203.0.113.0/24")
+
+
+def withdraw(speaker, peer_name: str, prefixes) -> list:
+    """Receive a wire UPDATE withdrawing *prefixes* from *peer_name*."""
+    prefixes = tuple(prefixes)
+    update = UpdateMessage(family=prefixes[0].family, withdrawn=prefixes)
+    return speaker.receive_wire(peer_name, encode_message(update))
 
 
 def make_peer(

@@ -10,7 +10,6 @@ from repro.bgp.attributes import (
     PathAttributes,
     SegmentType,
     community,
-    format_community,
 )
 from repro.netbase.errors import MalformedMessage
 
@@ -20,11 +19,11 @@ class TestAsPathBasics:
         path = AsPath.sequence(64500, 3356, 15169)
         assert path.length() == 3
         assert list(path.asns()) == [64500, 3356, 15169]
+        assert path.next_hop_asn == 64500
 
     def test_empty_path(self):
         path = AsPath()
         assert path.length() == 0
-        assert path.origin_asn is None
         assert path.next_hop_asn is None
         assert AsPath.sequence() == AsPath()
 
@@ -36,23 +35,16 @@ class TestAsPathBasics:
             ]
         )
         assert path.length() == 3
-
-    def test_origin_and_next_hop_asn(self):
-        path = AsPath.sequence(64500, 3356, 15169)
-        assert path.next_hop_asn == 64500
-        assert path.origin_asn == 15169
-
-    def test_origin_asn_ambiguous_for_set(self):
-        path = AsPath([(SegmentType.AS_SET, (15169, 8075))])
-        assert path.origin_asn is None
-        assert path.next_hop_asn is None
+        leading_set = AsPath([(SegmentType.AS_SET, (15169, 8075))])
+        assert leading_set.length() == 1
+        assert leading_set.next_hop_asn is None
 
     def test_contains_and_loop(self):
         path = AsPath.sequence(64500, 3356)
         assert 3356 in path
         assert 15169 not in path
-        assert path.contains_loop(64500)
-        assert not path.contains_loop(64510)
+        assert 64500 in path  # eBGP loop prevention checks membership
+        assert 64510 not in path
 
     def test_empty_segment_rejected(self):
         with pytest.raises(MalformedMessage):
@@ -125,7 +117,7 @@ class TestCommunity:
     def test_build_and_format(self):
         value = community(64600, 911)
         assert value == (64600 << 16) | 911
-        assert format_community(value) == "64600:911"
+        assert (value >> 16, value & 0xFFFF) == (64600, 911)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

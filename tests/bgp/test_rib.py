@@ -71,7 +71,7 @@ class TestLocRibBestPath:
         rib = LocRib()
         route = make_route(prefix=P1)
         change = rib.update(route)
-        assert change.is_new_prefix
+        assert change.old_best is None
         assert change.new_best == route
         assert rib.best(P1) == route
 
@@ -134,7 +134,7 @@ class TestLocRibWithdraw:
         peer = make_peer()
         rib.update(make_route(prefix=P1, peer=peer))
         change = rib.withdraw(P1, peer)
-        assert change.is_prefix_gone
+        assert change.old_best is not None and change.new_best is None
         assert rib.best(P1) is None
         assert P1 not in rib
         assert len(rib) == 0
@@ -175,14 +175,6 @@ class TestLocRibQueries:
         assert ranked == [high, low]
         assert rib.routes_for(P2) == []
 
-    def test_route_from(self):
-        rib = LocRib()
-        peer = make_peer()
-        route = make_route(prefix=P1, peer=peer)
-        rib.update(route)
-        assert rib.route_from(P1, peer) == route
-        assert rib.route_from(P1, make_peer(asn=64999)) is None
-
     def test_prefix_iteration_and_family_filter(self):
         from repro.netbase.addr import Family
 
@@ -198,7 +190,7 @@ class TestLocRibQueries:
         rib.update(make_route(prefix=P1))
         rib.update(make_route(prefix=P2))
         assert {prefix for prefix, _ in rib.items()} == {P1, P2}
-        assert {r.prefix for r in rib.best_routes()} == {P1, P2}
+        assert {rib.best(p).prefix for p, _ in rib.items()} == {P1, P2}
 
     def test_longest_match(self):
         rib = LocRib()

@@ -8,7 +8,6 @@ from repro.bgp.communities import (
     peer_type_community,
     peer_type_from_communities,
 )
-from repro.bgp.attributes import format_community
 from repro.bgp.peering import PeerType
 
 from .helpers import make_peer, make_route
@@ -40,9 +39,6 @@ class TestCommunityPlan:
             PEER_TYPE_COMMUNITIES.values()
         )
         assert len(set(values)) == len(values)
-
-    def test_formatting(self):
-        assert format_community(INJECTED) == f"{OPERATOR_ASN}:911"
 
 
 class TestRoute:
@@ -89,24 +85,6 @@ class TestRoute:
 
 
 class TestPeerDescriptor:
-    def test_policy_rank_order(self):
-        ranks = [
-            PeerType.PRIVATE,
-            PeerType.PUBLIC,
-            PeerType.ROUTE_SERVER,
-            PeerType.TRANSIT,
-            PeerType.INTERNAL,
-        ]
-        values = [p.policy_rank for p in ranks]
-        assert values == sorted(values)
-
-    def test_is_peering(self):
-        assert PeerType.PRIVATE.is_peering
-        assert PeerType.PUBLIC.is_peering
-        assert PeerType.ROUTE_SERVER.is_peering
-        assert not PeerType.TRANSIT.is_peering
-        assert not PeerType.INTERNAL.is_peering
-
     def test_name_stable_and_unique(self):
         a = make_peer(asn=65001, session_name="x")
         b = make_peer(asn=65001, session_name="y")

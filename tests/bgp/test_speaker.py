@@ -15,7 +15,7 @@ from repro.bgp.speaker import BgpSpeaker
 from repro.netbase.addr import Family, Prefix
 from repro.netbase.errors import SessionError
 
-from .helpers import make_peer
+from .helpers import make_peer, withdraw
 
 P1 = Prefix.parse("203.0.113.0/24")
 P2 = Prefix.parse("198.51.100.0/24")
@@ -109,7 +109,7 @@ class TestRouteProcessing:
         speaker.add_session(peer)
         speaker.establish_directly(peer.name)
         speaker.inject_update(peer.name, [P1], attrs_for(peer))
-        events = speaker.inject_withdraw(peer.name, [P1])
+        events = withdraw(speaker, peer.name, [P1])
         assert len(events) == 1 and events[0].withdrawn
         assert speaker.loc_rib.best(P1) is None
 

@@ -10,6 +10,8 @@ from repro.bmp.collector import BmpCollector, PeerRegistry
 from repro.bmp.exporter import BmpExporter
 from repro.netbase.addr import Family, Prefix
 
+from tests.bgp.helpers import withdraw
+
 P1 = Prefix.parse("203.0.113.0/24")
 P2 = Prefix.parse("198.51.100.0/24")
 
@@ -74,7 +76,7 @@ class TestPipeline:
             make_peer("pr0", 65001, PeerType.TRANSIT, "et0", 0x0A000001)
         )
         pipe.speaker.inject_update(peer.name, [P1], attrs(peer))
-        pipe.speaker.inject_withdraw(peer.name, [P1])
+        withdraw(pipe.speaker, peer.name, [P1])
         assert pipe.collector.routes_for(P1) == []
         assert pipe.collector.stats.withdrawals == 1
 

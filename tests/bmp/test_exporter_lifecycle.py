@@ -6,6 +6,7 @@ from repro.bgp.peering import PeerDescriptor, PeerType
 from repro.bgp.speaker import BgpSpeaker
 from repro.bmp.collector import BmpCollector, PeerRegistry
 from repro.bmp.exporter import BmpExporter
+from repro.bmp.messages import PeerDownMessage, PeerHeader, encode_bmp
 from repro.netbase.addr import Family, Prefix
 
 P1 = Prefix.parse("203.0.113.0/24")
@@ -64,11 +65,20 @@ class TestHeartbeat:
 
 
 class TestPeerLifecycle:
-    def test_announce_peer_down_flushes_collector(self):
+    def test_peer_down_flushes_collector(self):
         speaker, collector, exporter, peer, clock = make_setup()
         speaker.inject_update(peer.name, [P1], attrs(peer))
         assert collector.routes_for(P1)
-        exporter.announce_peer_down(peer)
+        header = PeerHeader(
+            peer_address=peer.address,
+            peer_asn=peer.peer_asn,
+            peer_bgp_id=peer.address,
+            family=peer.family,
+            post_policy=True,
+        )
+        collector.feed(
+            "pr0", encode_bmp(PeerDownMessage(peer=header, reason=2))
+        )
         assert collector.routes_for(P1) == []
         assert collector.stats.peer_downs == 1
 

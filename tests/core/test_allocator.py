@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import allocator as allocator_module
 from repro.core.allocator import Allocator
 from repro.core.projection import project
 from repro.netbase.units import gbps, mbps
@@ -99,8 +100,8 @@ class TestConstraints:
             capacity = mini.pop.capacity_of(key)
             assert load.bits_per_second <= capacity.bits_per_second * 0.95 + 1
 
-    def test_min_detour_rate_respected(self, mini):
-        config = default_config(min_detour_rate=gbps(1))
+    def test_min_detour_rate_respected(self, mini, monkeypatch):
+        monkeypatch.setattr(allocator_module, "MIN_DETOUR_RATE", gbps(1))
         # Many small prefixes sum to overload but none is big enough to
         # detour: the overload goes unresolved.
 
@@ -112,7 +113,7 @@ class TestConstraints:
             mini.announce(mini.private, prefix, (65002,))
             mini.announce(mini.transit, prefix, (65001, 64900))
             small[prefix] = mbps(400)
-        result = allocate(mini, small, config=config)
+        result = allocate(mini, small)
         assert result.overloaded_before == [PNI]
         assert result.detours == {}
         assert result.unresolved == [PNI]

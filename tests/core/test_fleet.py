@@ -46,7 +46,6 @@ class TestFleet:
     def test_aggregates(self, fleet_pair):
         fleet, _pooled, _start = fleet_pair
         assert fleet.total_offered().bits_per_second > 0
-        assert fleet.total_active_overrides() >= 0
 
     def test_offset_peaks(self, fleet_pair):
         fleet, _pooled, _start = fleet_pair
@@ -65,10 +64,13 @@ class TestParallelFleet:
             parallel.total_offered().bits_per_second
             == fleet.total_offered().bits_per_second
         )
-        assert (
-            parallel.total_active_overrides()
-            == fleet.total_active_overrides()
-        )
+        assert {
+            name: len(pop.controller.overrides)
+            for name, pop in parallel.deployments.items()
+        } == {
+            name: len(pop.controller.overrides)
+            for name, pop in fleet.deployments.items()
+        }
         for name, serial_pop in fleet.deployments.items():
             parallel_pop = parallel.deployments[name]
             assert len(parallel_pop.record.cycle_reports) == len(

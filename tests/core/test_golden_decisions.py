@@ -65,7 +65,7 @@ def _deployment_digest(deployment: PopDeployment, ticks: int) -> str:
         for report in reports[seen:]:
             digest.update(
                 _cycle_fields(
-                    report, deployment.controller.active_override_targets()
+                    report, deployment.controller.overrides.active_targets()
                 )
             )
     assert reports

@@ -7,6 +7,8 @@ from repro.core.projection import IncrementalProjection, project
 from repro.core.scale import ScaleConfig, ScaleScenario
 from repro.netbase.units import gbps, mbps
 
+from tests.bgp.helpers import withdraw
+
 from .helpers import P_CONE, P_CONE2, P_IXP, P_TRANSIT_ONLY
 from .test_controller import Harness
 
@@ -29,11 +31,11 @@ class TestIncrementalSnapshot:
         harness = Harness()
         harness.feed_traffic({P_CONE: mbps(100)}, now=0.0)
         first = harness.assembler.snapshot(0.0)
-        assert first.is_full
+        assert first.dirty_prefixes is None
         assert harness.assembler.full_snapshots == 1
         harness.feed_traffic({P_CONE2: mbps(50)}, now=30.0)
         second = harness.assembler.snapshot(30.0)
-        assert not second.is_full
+        assert second.dirty_prefixes is not None
         assert P_CONE2 in second.dirty_prefixes
         assert P_CONE not in second.dirty_prefixes
         assert harness.assembler.incremental_snapshots == 1
@@ -61,13 +63,9 @@ class TestIncrementalSnapshot:
         harness.feed_traffic({P_CONE: mbps(100)}, now=0.0)
         harness.assembler.snapshot(0.0)
         harness.mini.clock = 30.0
-        harness.mini.speaker.inject_withdraw(
-            harness.mini.private.name, [P_CONE]
-        )
-        harness.feed_traffic({P_CONE: mbps(100)}, now=30.0)
+        withdraw(harness.mini.speaker, harness.mini.private.name, [P_CONE])
         snapshot = harness.assembler.snapshot(30.0)
-        assert not snapshot.is_full
-        assert P_CONE in snapshot.route_dirty_prefixes
+        assert snapshot.dirty_prefixes is not None
         assert P_CONE in snapshot.dirty_prefixes
 
     def test_capacity_edit_forces_full(self):
@@ -76,7 +74,7 @@ class TestIncrementalSnapshot:
         harness.assembler.snapshot(0.0)
         harness.assembler.set_capacity(("mini-pr0", "pni0"), gbps(5))
         harness.feed_traffic({P_CONE: mbps(100)}, now=30.0)
-        assert harness.assembler.snapshot(30.0).is_full
+        assert harness.assembler.snapshot(30.0).dirty_prefixes is None
 
     def test_force_full_snapshot(self):
         harness = Harness()
@@ -84,7 +82,7 @@ class TestIncrementalSnapshot:
         harness.assembler.snapshot(0.0)
         harness.assembler.force_full_snapshot()
         harness.feed_traffic({P_CONE: mbps(100)}, now=30.0)
-        assert harness.assembler.snapshot(30.0).is_full
+        assert harness.assembler.snapshot(30.0).dirty_prefixes is None
 
     def test_collector_reset_forces_full(self):
         harness = Harness()
@@ -95,14 +93,14 @@ class TestIncrementalSnapshot:
         harness.mini.exporter.export_full_rib()
         harness.mini.collector.mark_resynced()
         harness.feed_traffic({P_CONE: mbps(100)}, now=30.0)
-        assert harness.assembler.snapshot(30.0).is_full
+        assert harness.assembler.snapshot(30.0).dirty_prefixes is None
 
     def test_engine_off_always_full(self):
         harness = Harness(incremental_engine=False)
         harness.feed_traffic({P_CONE: mbps(100)}, now=0.0)
         harness.assembler.snapshot(0.0)
         harness.feed_traffic({P_CONE: mbps(100)}, now=30.0)
-        assert harness.assembler.snapshot(30.0).is_full
+        assert harness.assembler.snapshot(30.0).dirty_prefixes is None
         assert harness.assembler.incremental_snapshots == 0
 
 
@@ -136,7 +134,7 @@ class TestIncrementalProjection:
         ]
         incremental = IncrementalProjection(harness.mini.pop)
         for _now, inputs in self._snapshots(harness, feeds):
-            if inputs.is_full:
+            if inputs.dirty_prefixes is None:
                 incremental.rebuild(inputs)
             else:
                 incremental.apply(inputs)
@@ -173,7 +171,7 @@ class TestIncrementalProjection:
         # still a delta.
         harness.feed_traffic({P_IXP: mbps(30)}, now=90.0)
         second = harness.assembler.snapshot(90.0)
-        assert not second.is_full
+        assert second.dirty_prefixes is not None
         incremental.apply(second)
         # No ulp residue: the drained interface's key is gone, exactly
         # as a fresh rebuild would have it.

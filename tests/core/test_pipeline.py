@@ -130,12 +130,8 @@ class TestCapacityReconfiguration:
         start = deployment.demand.config.peak_time
         deployment.run(start, 120.0)
         record = deployment.record
-        offered_bits = record.total_offered_bits(30.0)
-        assert offered_bits > 0
-        assert 0.0 <= record.drop_fraction(30.0) <= 1.0
-        assert record.peak_offered().bits_per_second == max(
-            t.offered.bits_per_second for t in record.ticks
-        )
+        assert any(t.offered.bits_per_second > 0 for t in record.ticks)
+        assert record.total_dropped_bits(30.0) >= 0.0
         assert 0.0 <= record.peak_detoured_fraction() <= 1.0
 
 

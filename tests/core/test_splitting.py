@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import allocator
 from repro.core.allocator import Allocator
 from repro.core.projection import project
 from repro.dataplane.fib import split_shares
@@ -120,12 +121,11 @@ class TestAllocatorSplitting:
         assert result.detours == {}
         assert result.unresolved == [PNI]
 
-    def test_tiny_prefixes_not_split(self):
+    def test_tiny_prefixes_not_split(self, monkeypatch):
+        monkeypatch.setattr(allocator, "MIN_DETOUR_RATE", gbps(10))
         mini = MiniPop()
         self.constrain_alternates(mini)
-        config = default_config(
-            allow_prefix_splitting=True, min_detour_rate=gbps(10)
-        )
+        config = default_config(allow_prefix_splitting=True)
         result = self.allocate(mini, {P_CONE: gbps(12)}, config)
         assert result.detours == {}
 

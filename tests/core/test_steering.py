@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core import steering
 from repro.core.allocator import Detour
 from repro.core.controller import EdgeFabricController
 from repro.core.steering import (
@@ -42,14 +43,15 @@ def mini():
     return MiniPop()
 
 
+@pytest.fixture(autouse=True)
+def crisp_ewma(monkeypatch):
+    """No smoothing: the tests here read single-cycle signals."""
+    monkeypatch.setattr(steering, "EWMA_ALPHA", 1.0)
+
+
 def build_engine(mini, offsets, telemetry=None, **config_overrides):
     """A steering engine plus its alt-path monitor over the mini-PoP."""
-    overrides = dict(
-        performance_aware=True,
-        steering_ewma_alpha=1.0,  # no smoothing: crisp single-cycle tests
-        **config_overrides,
-    )
-    config = default_config(**overrides)
+    config = default_config(performance_aware=True, **config_overrides)
     model = ForcedModel(offsets)
     monitor = AltPathMonitor(
         routes_of=lambda p: [
@@ -278,13 +280,12 @@ class TestHysteresis:
 
 
 class TestSteeringAction:
-    def build_red(self, mini, **overrides):
+    def build_red(self, mini):
         engine, monitor, model = build_engine(
             mini,
             {"AS65003": -40.0},
             steering_votes_to_trip=1,
             steering_trip_cycles=1,
-            **overrides,
         )
         return engine, monitor, model
 
@@ -322,8 +323,9 @@ class TestSteeringAction:
         )
         assert added == []
 
-    def test_per_cycle_cap(self, mini):
-        engine, monitor, _ = self.build_red(mini, perf_moves_per_cycle=1)
+    def test_per_cycle_cap(self, mini, monkeypatch):
+        monkeypatch.setattr(steering, "PERF_MOVES_PER_CYCLE", 1)
+        engine, monitor, _ = self.build_red(mini)
         added, _, _ = run_cycle(
             engine, mini, monitor, 0.0,
             {P_CONE: gbps(2), P_CONE2: gbps(2)},
@@ -388,13 +390,13 @@ class TestObservability:
             transitions['from_tier="GREEN",to_tier="RED"'] == 1
         )
 
-    def test_flap_signal_and_rates(self, mini):
+    def test_flap_signal_and_rates(self, mini, monkeypatch):
+        monkeypatch.setattr(steering, "FLAP_BUDGET", 1)
         engine, monitor, _ = build_engine(
             mini,
             {"AS65003": -40.0},
             steering_votes_to_trip=1,
             steering_trip_cycles=1,
-            steering_flap_budget=1,
         )
         run_cycle(engine, mini, monitor, 0.0, {P_CONE: gbps(2)})
         assert engine.flap_signal(30.0) == 0.0  # 1 transition == budget
@@ -477,7 +479,6 @@ class TestModeDispatch:
             performance_aware=True,
             steering_votes_to_trip=1,
             steering_trip_cycles=1,
-            steering_ewma_alpha=1.0,
             **overrides,
         )
         mini = harness.mini

@@ -17,6 +17,8 @@ from repro.topology.builder import PopSpec, build_pop
 from repro.topology.internet import InternetConfig, InternetTopology
 from repro.traffic.demand import DemandConfig, DemandModel
 
+from tests.bgp.helpers import withdraw
+
 P1 = Prefix.parse("203.0.113.0/24")
 
 
@@ -64,7 +66,7 @@ class TestPopView:
         )
         speaker.inject_update(session.name, [P1], attrs)
         assert view.best(P1) is not None
-        speaker.inject_withdraw(session.name, [P1])
+        withdraw(speaker, session.name, [P1])
         assert view.best(P1) is None
 
     def test_best_prefers_private_peers(self, wired):
@@ -148,10 +150,9 @@ class TestMetricsStore:
         sample = self.sample(0.0, 12, 10)
         assert sample.utilization == pytest.approx(1.2)
         assert sample.is_overloaded
-        assert sample.loss_fraction == pytest.approx(2 / 12)
+        assert sample.dropped == gbps(2)
         calm = self.sample(0.0, 5, 10)
         assert not calm.is_overloaded
-        assert calm.loss_fraction == 0.0
 
     def test_summary(self):
         store = MetricsStore()
@@ -171,7 +172,8 @@ class TestMetricsStore:
         store = MetricsStore()
         store.record(("pr0", "a"), self.sample(0.0, 12, 10), 1.0)
         store.record(("pr0", "b"), self.sample(0.0, 5, 10), 1.0)
-        assert store.overloaded_interface_count() == 1
+        summaries = store.overload_summaries()
+        assert [s.overloaded_samples for s in summaries] == [1, 0]
         assert store.total_dropped_bits() == pytest.approx(2e9)
         assert store.utilization_at(("pr0", "a"), 0.5) == pytest.approx(1.2)
         assert store.utilization_at(("pr0", "zz"), 0.5) == 0.0
@@ -184,10 +186,10 @@ class TestSimulator:
             wired, demand, tick_seconds=30.0, seed=1
         )
         result = simulator.tick(demand.config.peak_time)
-        total_demand = demand.total_rate(demand.config.peak_time)
+        total_demand = demand.rate_array(demand.config.peak_time).sum()
         accounted = result.total_offered() + result.unrouted
         assert accounted.bits_per_second == pytest.approx(
-            total_demand.bits_per_second, rel=1e-6
+            total_demand, rel=1e-6
         )
 
     def test_loads_respect_routing(self, wired):
@@ -225,11 +227,3 @@ class TestSimulator:
         result = simulator.tick(demand.config.peak_time)
         assert set(result.datagrams) == set(wired.pop.routers)
         assert sum(len(v) for v in result.datagrams.values()) > 0
-
-    def test_bgp_only_projection_ignores_injected(self, wired):
-        demand = make_demand(wired)
-        simulator = PopSimulator(wired, demand, seed=1)
-        projected = simulator.project_bgp_only_loads(now=0.0)
-        assert projected
-        total = sum(v.bits_per_second for v in projected.values())
-        assert total > 0

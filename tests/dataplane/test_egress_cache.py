@@ -25,6 +25,8 @@ from repro.netbase.units import gbps
 from repro.topology.builder import PopSpec, build_pop
 from repro.topology.internet import InternetConfig, InternetTopology
 
+from tests.bgp.helpers import withdraw
+
 P_NEW = Prefix.parse("203.0.113.0/24")
 
 
@@ -73,7 +75,7 @@ class TestPopViewCache:
         assert resolved is not None
         assert resolved == fresh_resolution(wired, P_NEW)
 
-        speaker.inject_withdraw(session.name, [P_NEW])
+        withdraw(speaker, session.name, [P_NEW])
         assert view.resolve_egress(P_NEW, pop) is None
         assert fresh_resolution(wired, P_NEW) is None
 
@@ -89,7 +91,7 @@ class TestPopViewCache:
         session = wired.pop.sessions(PeerType.TRANSIT)[0]
         speaker = wired.speakers[session.router]
         victim = prefixes[0]
-        speaker.inject_withdraw(session.name, [victim])
+        withdraw(speaker, session.name, [victim])
         attrs = PathAttributes(
             as_path=AsPath.sequence(session.peer_asn, 64999, 64998),
             next_hop=(Family.IPV4, session.address),

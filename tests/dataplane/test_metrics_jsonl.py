@@ -60,10 +60,6 @@ class TestJsonlRoundTrip:
         assert (
             reloaded.total_dropped_bits() == store.total_dropped_bits()
         )
-        assert (
-            reloaded.overloaded_interface_count()
-            == store.overloaded_interface_count()
-        )
 
     def test_empty_store(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -112,7 +112,6 @@ def _resubscriber(bmp, exporter):
     config = ControllerConfig(
         max_input_age_seconds=60.0,
         resubscribe_initial_seconds=30.0,
-        resubscribe_backoff_multiplier=2.0,
         resubscribe_max_attempts=3,
     )
     telemetry = Telemetry(name="resub-test")

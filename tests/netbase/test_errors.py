@@ -19,7 +19,6 @@ class TestHierarchy:
 
     def test_controller_family(self):
         assert issubclass(errors.StaleInputError, errors.ControllerError)
-        assert issubclass(errors.AllocationError, errors.ControllerError)
         assert issubclass(errors.InjectionError, errors.ControllerError)
 
     def test_address_error_is_value_error(self):

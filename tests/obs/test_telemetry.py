@@ -79,10 +79,6 @@ class TestInstrumentedPipeline:
         kinds = {row["kind"] for row in rows}
         assert kinds == {"meta", "metric", "span", "audit"}
 
-    def test_record_jsonl_helper(self, deployment, tmp_path):
-        path = tmp_path / "record.jsonl"
-        assert deployment.record.write_telemetry_jsonl(path) > 0
-
     def test_telemetry_is_picklable(self, deployment):
         clone = pickle.loads(pickle.dumps(deployment.telemetry))
         assert (

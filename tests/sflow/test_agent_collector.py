@@ -167,23 +167,6 @@ class TestCollectorPipeline:
         estimate = collector.prefix_rate(PREFIX, now=9.5)
         assert estimate / actual == pytest.approx(1.0, abs=0.15)
 
-    def test_interface_attribution(self):
-        agent, collector = self.make_pipeline(sampling_rate=1)
-        datagrams = agent.observe(
-            [
-                flow(byte_rate=8e8, interface="et0"),
-                flow(dst="198.51.100.9", byte_rate=8e8, interface="et1"),
-            ],
-            now=0.0,
-        )
-        collector.feed_many(datagrams, now=0.0)
-        et0 = collector.interface_rate("pr0", "et0", now=0.0)
-        et1 = collector.interface_rate("pr0", "et1", now=0.0)
-        assert not et0.is_zero() and not et1.is_zero()
-        rates = collector.prefix_interface_rates(now=0.0)
-        assert (PREFIX, ("pr0", "et0")) in rates
-        assert (OTHER, ("pr0", "et1")) in rates
-
     def test_unroutable_traffic_accounted(self):
         agent, collector = self.make_pipeline(sampling_rate=1)
         datagrams = agent.observe(

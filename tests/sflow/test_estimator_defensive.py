@@ -2,7 +2,6 @@
 
 import math
 
-from repro.netbase.addr import Prefix
 from repro.sflow.estimator import RateEstimator
 
 
@@ -79,11 +78,8 @@ class TestAge:
 
 
 class TestCollectorDelegation:
-    def test_collector_age_and_window_stats(self):
+    def test_collector_age(self):
         from repro.sflow.collector import SflowCollector
 
         collector = SflowCollector(lambda family, addr: None)
         assert math.isinf(collector.age(0.0))
-        prefix = Prefix.parse("11.0.0.0/24")
-        stats = collector.prefix_window_stats(prefix, 0.0)
-        assert stats.empty

@@ -64,15 +64,12 @@ class TestLookups:
         with pytest.raises(TopologyError):
             pop.interface(("pr0", "zzz"))
 
-    def test_session_lookup_by_name_and_address(self):
+    def test_session_lookup_by_address(self):
         pop = make_pop()
         s = session(address=42)
         pop.add_session(s)
-        assert pop.session_by_name(s.name) == s
         assert pop.session_by_address(42) == s
         assert pop.session_by_address(43) is None
-        with pytest.raises(TopologyError):
-            pop.session_by_name("ghost")
 
     def test_sessions_filter_by_type(self):
         pop = make_pop()

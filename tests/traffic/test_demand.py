@@ -42,8 +42,10 @@ class TestConfigValidation:
 class TestShape:
     def test_total_at_peak_close_to_configured(self):
         model = make_model(volatility_sigma=0.0)
-        total = model.total_rate(model.config.peak_time)
-        assert total / gbps(100) == pytest.approx(1.0, rel=0.01)
+        total = model.rate_array(model.config.peak_time).sum()
+        assert total / gbps(100).bits_per_second == pytest.approx(
+            1.0, rel=0.01
+        )
 
     def test_diurnal_cycle(self):
         model = make_model(volatility_sigma=0.0)
