@@ -25,23 +25,6 @@ def ensure_src_on_path() -> None:
         sys.path.insert(0, src)
 
 
-def deterministic_view(registry) -> dict:
-    """Counters and gauges in full; histograms by count only (wall-time
-    histograms measure the host, not the simulation)."""
-    snapshot = registry.snapshot()
-    return {
-        "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
-        "histogram_counts": {
-            name: {
-                labels: series["count"]
-                for labels, series in by_label.items()
-            }
-            for name, by_label in snapshot["histograms"].items()
-        },
-    }
-
-
 def load_baseline(
     path: Path, workload: str, key: str
 ) -> Optional[float]:

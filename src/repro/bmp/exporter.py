@@ -24,7 +24,6 @@ from .messages import (
     PeerHeader,
     PeerUpMessage,
     RouteMonitoringMessage,
-    TerminationMessage,
     encode_bmp,
 )
 
@@ -65,9 +64,6 @@ class BmpExporter:
         """Emit PEER_UP (call when the session establishes)."""
         self._peers_up.add(peer.name)
         self._emit(encode_bmp(PeerUpMessage(peer=self._peer_header(peer))))
-
-    def terminate(self, reason: str = "shutting down") -> None:
-        self._emit(encode_bmp(TerminationMessage(reason=reason)))
 
     # -- route mirroring ---------------------------------------------------
 

@@ -397,6 +397,13 @@ def _render_top_frame(fleet, now: float) -> str:
     return "\n".join(lines)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_top(args: argparse.Namespace) -> int:
     from .core.fleet import FleetDeployment
 
@@ -775,12 +782,12 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live per-PoP fleet console: traffic, overrides, alerts",
     )
-    top.add_argument("--pops", type=int, default=4)
+    top.add_argument("--pops", type=_positive_int, default=4)
     top.add_argument("--minutes", type=float, default=30.0)
     top.add_argument("--seed", type=int, default=7)
     top.add_argument(
         "--every",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="TICKS",
         help="redraw every N ticks (default every tick)",

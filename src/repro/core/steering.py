@@ -36,7 +36,7 @@ per-key timestamp ring that feeds the ``steering_flap`` health signal
 and the chaos stability reports.  The engine is deterministic for a
 given input sequence (iteration is sorted, ties break lexically), holds
 no closures or live objects beyond its :class:`Telemetry` handle, and
-pickles across fleet pool workers exactly like the health engine.
+pickles exactly like the health engine.
 """
 
 from __future__ import annotations

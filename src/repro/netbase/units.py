@@ -114,9 +114,7 @@ class Rate:
 
     def __reduce__(self):
         # The immutability guard in __setattr__ breaks pickle's default
-        # slot restoration; rebuild through the constructor instead
-        # (needed when run records cross process boundaries in the
-        # parallel fleet runner).
+        # slot restoration; rebuild through the constructor instead.
         return (Rate, (self._bps,))
 
     def __bool__(self) -> bool:

@@ -36,7 +36,7 @@ from .health import (
 )
 from .logs import JsonlHandler, configure_logging, get_logger, log_event
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .telemetry import Telemetry, merge_registries
+from .telemetry import Telemetry
 from .timeseries import TimeSeries, TimeSeriesStore
 from .tracing import Span, Tracer
 
@@ -56,7 +56,6 @@ __all__ = [
     "get_logger",
     "log_event",
     "Telemetry",
-    "merge_registries",
     "TimeSeries",
     "TimeSeriesStore",
     "Alert",

@@ -22,9 +22,8 @@ is that watcher for the reproduction.  Once per controller cycle the
 The engine is strictly an observer: it never touches steering state, so
 runs with it on and off are byte-identical in every decision — the
 property ``tests/obs/test_health.py`` asserts together with its cost
-bound.  It is also plain picklable data (no closures, no open files),
-so fleet workers carry their engines back to the parent like the rest
-of telemetry.
+bound.  It is also plain data (no closures, no open files), so it
+pickles like the rest of telemetry.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ label values.  The design borrows the Prometheus client model:
   same object; a kind clash raises),
 - hot paths pre-bind label sets once (``metric.labels(pop="a")``) so a
   per-tick increment is one dict store, no string formatting,
-- ``snapshot()`` is a plain-dict view suitable for JSON, asserts in
-  tests, and cross-process merging (worker registries travel through
-  pickles and are summed back into the parent's, see :meth:`merge`).
+- ``snapshot()`` is a plain-dict view suitable for JSON and asserts in
+  tests.
 
 Exporters: :meth:`to_prometheus` emits the text exposition format;
 :meth:`to_json` the snapshot as JSON.
@@ -411,52 +410,3 @@ class MetricsRegistry:
                         f"{metric.name}_count{suffix} {series.count}"
                     )
         return "\n".join(lines) + "\n"
-
-    # -- merging ------------------------------------------------------------------
-
-    def merge(
-        self,
-        other: "MetricsRegistry",
-        extra_labels: Optional[Dict[str, str]] = None,
-    ) -> None:
-        """Fold *other*'s series into this registry.
-
-        Counters and histogram series add; gauges overwrite (last write
-        wins — merge disjoint label sets, e.g. one per PoP, when the
-        distinction matters).  ``extra_labels`` are appended to every
-        incoming series' label set, which is how per-worker registries
-        become one fleet registry without colliding.  The extra labels
-        are appended in sorted name order, so merged output never
-        depends on the caller's dict insertion order (two merges with
-        the same extras always agree on label layout).
-        """
-        extra_items = sorted((extra_labels or {}).items())
-        extra_names = tuple(name for name, _ in extra_items)
-        extra_values = tuple(str(value) for _, value in extra_items)
-        for theirs in other.metrics():
-            labelnames = theirs.labelnames + extra_names
-            if isinstance(theirs, Counter):
-                mine = self.counter(theirs.name, theirs.help, labelnames)
-                for key, value in theirs.series().items():
-                    full = key + extra_values
-                    mine._values[full] = (
-                        mine._values.get(full, 0.0) + value
-                    )
-            elif isinstance(theirs, Gauge):
-                mine = self.gauge(theirs.name, theirs.help, labelnames)
-                for key, value in theirs.series().items():
-                    mine._values[key + extra_values] = value
-            elif isinstance(theirs, Histogram):
-                mine = self.histogram(
-                    theirs.name, theirs.help, labelnames, theirs.buckets
-                )
-                if mine.buckets != theirs.buckets:
-                    raise ValueError(
-                        f"histogram {theirs.name!r} bucket mismatch"
-                    )
-                for key, series in theirs.series().items():
-                    target = mine._series_for(key + extra_values)
-                    for i, count in enumerate(series.bucket_counts):
-                        target.bucket_counts[i] += count
-                    target.sum += series.sum
-                    target.count += series.count

@@ -1,11 +1,9 @@
 """The :class:`Telemetry` facade: one handle for a deployment's signals.
 
 A deployment (one PoP's full stack) owns one ``Telemetry`` bundling its
-metrics registry, span tracer, and decision-audit trail.  The object is
-deliberately picklable — no open files, no loggers, no closures — so
-fork-based fleet workers can carry their telemetry back to the parent,
-which merges the per-worker registries into fleet-wide series (see
-:meth:`MetricsRegistry.merge`).
+metrics registry, span tracer, and decision-audit trail.  The object
+holds plain data only — no open files, no loggers, no closures — so it
+pickles, and a fleet reads each PoP's telemetry separately.
 
 ``write_jsonl`` persists everything as one JSONL stream (metrics, spans,
 audit events, each line tagged with ``kind``), the format the CI bench
@@ -15,13 +13,13 @@ uploads and :meth:`snapshot` mirrors in-memory.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Tuple
+from typing import Dict
 
 from .audit import DecisionAudit, PrefixExplanation
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
-__all__ = ["Telemetry", "merge_registries"]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -117,14 +115,3 @@ class Telemetry:
                 )
                 lines += 1
         return lines
-
-
-def merge_registries(
-    parts: Iterable[Tuple[str, MetricsRegistry]],
-    label: str = "pop",
-) -> MetricsRegistry:
-    """Merge named registries into one, tagging series with *label*."""
-    merged = MetricsRegistry()
-    for name, registry in parts:
-        merged.merge(registry, extra_labels={label: name})
-    return merged

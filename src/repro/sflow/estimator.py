@@ -46,6 +46,31 @@ _NEVER = float("-inf")
 #: until the dropped history has aged out of every possible window.
 DEFAULT_CHANGE_LOG_LIMIT = 262_144
 
+#: Running sum of an empty window: (total, compensation).
+_EMPTY = (0.0, 0.0)
+
+
+def _accumulate(
+    total: float, error: float, value: float
+) -> Tuple[float, float]:
+    """One Neumaier compensated-summation step.
+
+    A window's byte total is a running sum: samples are added as they
+    arrive and subtracted as they expire.  Kept as a bare float, a large
+    sample leaving a window that still holds small ones would leave
+    the rounding error of the large add behind as most of what remains.
+    ``error`` carries the low-order bits each add rounded away, so
+    ``total + error`` tracks the exact sum of the in-window samples.
+    When every add is exact, ``error`` stays ``0.0`` and the running
+    total is what plain addition gives.
+    """
+    result = total + value
+    if abs(total) >= abs(value):
+        error += (total - result) + value
+    else:
+        error += (value - result) + total
+    return result, error
+
 
 @dataclass(frozen=True)
 class WindowStats:
@@ -86,7 +111,9 @@ class RateEstimator(Generic[K]):
         self.window_seconds = window_seconds
         self._log_limit = change_log_limit
         self._events: Dict[K, Deque[Tuple[float, float]]] = defaultdict(deque)
-        self._totals: Dict[K, float] = defaultdict(float)
+        #: Per-key running byte sum as (total, compensation); see
+        #: :func:`_accumulate`.
+        self._totals: Dict[K, Tuple[float, float]] = {}
         #: When the most recent sample (for any key) was recorded.
         self.last_add_at: Optional[float] = None
         # Change-detection state: every add appends (ts, key) to a
@@ -107,7 +134,8 @@ class RateEstimator(Generic[K]):
             raise ValueError("byte count cannot be negative")
         self._expire(key, now)
         self._events[key].append((now, byte_count))
-        self._totals[key] += byte_count
+        total, error = self._totals.get(key, _EMPTY)
+        self._totals[key] = _accumulate(total, error, byte_count)
         if self.last_add_at is None or now >= self.last_add_at:
             self.last_add_at = now
         else:
@@ -130,20 +158,25 @@ class RateEstimator(Generic[K]):
     def _expire(self, key: K, now: float) -> None:
         horizon = now - self.window_seconds
         events = self._events[key]
-        total = self._totals[key]
+        total, error = self._totals.get(key, _EMPTY)
         while events and events[0][0] <= horizon:
             _ts, stale = events.popleft()
-            total -= stale
-        self._totals[key] = max(0.0, total)
-        if not events:
+            total, error = _accumulate(total, error, -stale)
+        if events:
+            self._totals[key] = (total, error)
+        else:
             del self._events[key]
-            del self._totals[key]
+            self._totals.pop(key, None)
+
+    def _window_bytes(self, key: K) -> float:
+        total, error = self._totals.get(key, _EMPTY)
+        return max(0.0, total + error)
 
     def rate(self, key: K, now: float) -> Rate:
         """Estimated rate for *key* over the window ending at *now*."""
         if key in self._events:
             self._expire(key, now)
-        total_bytes = self._totals.get(key, 0.0)
+        total_bytes = self._window_bytes(key)
         return Rate(total_bytes * 8.0 / self.window_seconds)
 
     def window_stats(self, key: K, now: float) -> WindowStats:
@@ -164,7 +197,7 @@ class RateEstimator(Generic[K]):
         # One sample spans no time; a mean gap over zero intervals is
         # undefined, so both degrade to 0.0 rather than dividing.
         gap = span / (count - 1) if count > 1 else 0.0
-        total = self._totals.get(key, 0.0)
+        total = self._window_bytes(key)
         return WindowStats(
             samples=count,
             total_bytes=total,
@@ -201,24 +234,24 @@ class RateEstimator(Generic[K]):
         # snapshot never copies the key list: emptied keys are collected
         # and deleted after the pass, because deleting during iteration
         # would invalidate the dict view.  The arithmetic mirrors
-        # _expire() exactly — same pops, same single clamp — so the
-        # floats are bit-identical to the per-key path.
+        # _expire() and _window_bytes() exactly — same pops, same
+        # compensated steps, same clamp — so the floats are
+        # bit-identical to the per-key path.
         horizon = now - self.window_seconds
         window = self.window_seconds
         out: Dict[K, Rate] = {}
         dead = []
         for key, events in self._events.items():
-            total = self._totals[key]
+            total, error = self._totals[key]
             if events[0][0] <= horizon:
                 while events and events[0][0] <= horizon:
                     _ts, stale = events.popleft()
-                    total -= stale
-                total = max(0.0, total)
+                    total, error = _accumulate(total, error, -stale)
                 if not events:
                     dead.append(key)
                     continue
-                self._totals[key] = total
-            value = Rate(total * 8.0 / window)
+                self._totals[key] = (total, error)
+            value = Rate(max(0.0, total + error) * 8.0 / window)
             if not value.is_zero():
                 out[key] = value
         for key in dead:
@@ -283,8 +316,9 @@ class ColumnarRateEstimator(Generic[K]):
     """Array-backed :class:`RateEstimator`, bit-for-bit compatible.
 
     Keys are interned into dense slots (:class:`~repro.netbase.intern.Interner`)
-    and per-key running totals live in a numpy float64 column instead of
-    a dict of boxed floats; a parallel ``_oldest`` column holds each
+    and per-key running totals (with their :func:`_accumulate`
+    compensation) live in numpy float64 columns instead of a dict of
+    boxed floats; a parallel ``_oldest`` column holds each
     slot's oldest in-window sample timestamp (``inf`` for slots with no
     in-window samples), so the bulk :meth:`rates` snapshot finds the
     slots needing expiry with one vectorized comparison and computes all
@@ -331,6 +365,7 @@ class ColumnarRateEstimator(Generic[K]):
         # with recycled ids).
         self._slots.register_consumer(self._invalidate_columns)
         self._totals = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
+        self._errors = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
         self._oldest = np.full(
             self._INITIAL_CAPACITY, np.inf, dtype=np.float64
         )
@@ -355,9 +390,12 @@ class ColumnarRateEstimator(Generic[K]):
                 grown = len(self._totals) * 2
                 totals = np.zeros(grown, dtype=np.float64)
                 totals[:slot] = self._totals
+                errors = np.zeros(grown, dtype=np.float64)
+                errors[:slot] = self._errors
                 oldest = np.full(grown, np.inf, dtype=np.float64)
                 oldest[:slot] = self._oldest
                 self._totals = totals
+                self._errors = errors
                 self._oldest = oldest
         return slot
 
@@ -371,7 +409,11 @@ class ColumnarRateEstimator(Generic[K]):
             self._live += 1
         events.append((now, byte_count))
         self._oldest[slot] = events[0][0]
-        self._totals[slot] += byte_count
+        total, error = _accumulate(
+            self._totals[slot].item(), self._errors[slot].item(), byte_count
+        )
+        self._totals[slot] = total
+        self._errors[slot] = error
         if self.last_add_at is None or now >= self.last_add_at:
             self.last_add_at = now
         else:
@@ -387,21 +429,28 @@ class ColumnarRateEstimator(Generic[K]):
 
     def _expire_slot(self, slot: int, horizon: float) -> None:
         """Mirror of :meth:`RateEstimator._expire`: same pops, same
-        single clamp, so totals stay bit-identical."""
+        compensated steps, so totals stay bit-identical."""
         events = self._events[slot]
         if not events or events[0][0] > horizon:
             return
         total = self._totals[slot].item()
+        error = self._errors[slot].item()
         while events and events[0][0] <= horizon:
             _ts, stale = events.popleft()
-            total -= stale
+            total, error = _accumulate(total, error, -stale)
         if events:
-            self._totals[slot] = max(0.0, total)
+            self._totals[slot] = total
+            self._errors[slot] = error
             self._oldest[slot] = events[0][0]
         else:
             self._totals[slot] = 0.0
+            self._errors[slot] = 0.0
             self._oldest[slot] = np.inf
             self._live -= 1
+
+    def _window_bytes(self, slot: int) -> float:
+        total = self._totals[slot].item() + self._errors[slot].item()
+        return max(0.0, total)
 
     def rate(self, key: K, now: float) -> Rate:
         """Estimated rate for *key* over the window ending at *now*."""
@@ -409,7 +458,7 @@ class ColumnarRateEstimator(Generic[K]):
         if slot is None or slot >= len(self._events):
             return Rate(0.0)
         self._expire_slot(slot, now - self.window_seconds)
-        total = self._totals[slot].item()
+        total = self._window_bytes(slot)
         return Rate(total * 8.0 / self.window_seconds)
 
     def window_stats(self, key: K, now: float) -> WindowStats:
@@ -431,7 +480,7 @@ class ColumnarRateEstimator(Generic[K]):
         count = len(events)
         span = events[-1][0] - events[0][0]
         gap = span / (count - 1) if count > 1 else 0.0
-        total = self._totals[slot].item()  # type: ignore[index]
+        total = self._window_bytes(slot)  # type: ignore[arg-type]
         return WindowStats(
             samples=count,
             total_bytes=total,
@@ -473,7 +522,8 @@ class ColumnarRateEstimator(Generic[K]):
         comparison over the ``_oldest`` column finds the slots with
         anything to expire (Python-loop expiry on just those slots keeps
         the subtraction order, hence the bits, identical), then one
-        ``(totals * 8.0) / window`` computes every rate at once.
+        ``(max(totals + errors, 0) * 8.0) / window`` computes every rate
+        at once.
         """
         window = self.window_seconds
         horizon = now - window
@@ -483,20 +533,9 @@ class ColumnarRateEstimator(Generic[K]):
             return out
         oldest = self._oldest[:count]
         for slot in np.nonzero(oldest <= horizon)[0].tolist():
-            events = self._events[slot]
-            total = self._totals[slot].item()
-            while events and events[0][0] <= horizon:
-                _ts, stale = events.popleft()
-                total -= stale
-            total = max(0.0, total)
-            if events:
-                self._totals[slot] = total
-                self._oldest[slot] = events[0][0]
-            else:
-                self._totals[slot] = 0.0
-                self._oldest[slot] = np.inf
-                self._live -= 1
-        values = (self._totals[:count] * 8.0) / window
+            self._expire_slot(slot, horizon)
+        totals = self._totals[:count] + self._errors[:count]
+        values = (np.maximum(totals, 0.0) * 8.0) / window
         # `oldest` is a view, so the expiry pass above already flipped
         # emptied slots to inf; the mask below skips them.
         live = np.nonzero(np.isfinite(oldest) & (values != 0.0))[0]
@@ -535,6 +574,7 @@ class ColumnarRateEstimator(Generic[K]):
     def _invalidate_columns(self) -> None:
         """Drop every id-indexed structure (interner consumer hook)."""
         self._totals = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
+        self._errors = np.zeros(self._INITIAL_CAPACITY, dtype=np.float64)
         self._oldest = np.full(
             self._INITIAL_CAPACITY, np.inf, dtype=np.float64
         )

@@ -5,7 +5,6 @@ from .entities import Interface, InterfaceKey, PeeringRouter, PoP
 from .internet import AsNode, InternetConfig, InternetTopology
 from .scenarios import (
     STUDY_POP_NAMES,
-    build_fleet,
     build_study_pop,
     default_internet,
     fleet_specs,
@@ -24,7 +23,6 @@ __all__ = [
     "InternetConfig",
     "InternetTopology",
     "STUDY_POP_NAMES",
-    "build_fleet",
     "build_study_pop",
     "default_internet",
     "fleet_specs",

@@ -27,7 +27,6 @@ __all__ = [
     "study_pop_spec",
     "build_study_pop",
     "fleet_specs",
-    "build_fleet",
     "ScalePop",
     "build_scale_pop",
 ]
@@ -143,19 +142,6 @@ def fleet_specs(count: int = 20, seed: int = 0) -> List[PopSpec]:
             )
         )
     return specs
-
-
-def build_fleet(
-    count: int = 20,
-    seed: int = 0,
-    internet: Optional[InternetTopology] = None,
-) -> Dict[str, WiredPop]:
-    """Build the whole fleet against one shared Internet."""
-    internet = internet or default_internet(seed)
-    return {
-        spec.name: build_pop(spec, internet)
-        for spec in fleet_specs(count, seed)
-    }
 
 
 # -- the scale scenario's PoP -------------------------------------------------

@@ -6,7 +6,12 @@ from repro.bgp.peering import PeerDescriptor, PeerType
 from repro.bgp.speaker import BgpSpeaker
 from repro.bmp.collector import BmpCollector, PeerRegistry
 from repro.bmp.exporter import BmpExporter
-from repro.bmp.messages import PeerDownMessage, PeerHeader, encode_bmp
+from repro.bmp.messages import (
+    PeerDownMessage,
+    PeerHeader,
+    TerminationMessage,
+    encode_bmp,
+)
 from repro.netbase.addr import Family, Prefix
 
 P1 = Prefix.parse("203.0.113.0/24")
@@ -92,7 +97,9 @@ class TestPeerLifecycle:
         speaker, collector, exporter, peer, clock = make_setup()
         speaker.inject_update(peer.name, [P1], attrs(peer))
         assert "pr0" in collector.routers()
-        exporter.terminate("maintenance")
+        collector.feed(
+            "pr0", encode_bmp(TerminationMessage(reason="maintenance"))
+        )
         assert "pr0" not in collector.routers()
 
 

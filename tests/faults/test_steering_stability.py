@@ -1,6 +1,6 @@
 """The steering-stability gate: no tier flaps beyond the budget.
 
-Locally this runs 3 seeds per fault kind (a smoke-level gate); the CI
+Locally this runs 1 seed per fault kind (a smoke-level gate); the CI
 ``steering-stability`` job sets ``STEERING_STABILITY_SEEDS=10`` for the
 full sweep and ``STEERING_REPORT_DIR`` to collect one JSON transition
 report per trial as a build artifact.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.faults import STABILITY_FAULT_KINDS, run_stability_trial
 
-STABILITY_SEEDS = int(os.environ.get("STEERING_STABILITY_SEEDS", "3"))
+STABILITY_SEEDS = int(os.environ.get("STEERING_STABILITY_SEEDS", "1"))
 
 
 def _write_report(report_dir, name, text):

@@ -142,87 +142,46 @@ class TestSnapshotAndExport:
         assert counter.value(k="v") == 1.0
 
 
-class TestMerge:
-    def test_counters_sum_gauges_overwrite(self):
-        a = MetricsRegistry()
-        a.counter("n_total").inc(2)
-        a.gauge("level").set(1.0)
-        b = MetricsRegistry()
-        b.counter("n_total").inc(3)
-        b.gauge("level").set(9.0)
-        a.merge(b)
-        assert a.counter("n_total").value() == 5.0
-        assert a.gauge("level").value() == 9.0
-
-    def test_extra_labels_keep_parts_apart(self):
-        merged = MetricsRegistry()
-        for pop, value in (("a", 2), ("b", 3)):
-            part = MetricsRegistry()
-            part.counter("n_total").inc(value)
-            merged.merge(part, extra_labels={"pop": pop})
-        assert merged.counter(
-            "n_total", labelnames=("pop",)
-        ).value(pop="a") == 2.0
-        assert merged.counter(
-            "n_total", labelnames=("pop",)
-        ).value(pop="b") == 3.0
-
-    def test_histograms_add(self):
-        a = MetricsRegistry()
-        a.histogram("h", buckets=(1.0,)).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("h", buckets=(1.0,)).observe(2.0)
-        a.merge(b)
-        series = a.histogram("h", buckets=(1.0,)).series()[()]
-        assert series.count == 2
-        assert series.bucket_counts == [1, 1]
-
-
 class TestExportDeterminism:
-    """Exports are stable regardless of registration/merge order.
+    """Exports are stable regardless of registration order.
 
-    Fleet dashboards diff merged registries across runs; if series
-    order followed dict insertion order, merging PoPs in a different
-    order would produce spuriously different text.
+    Dashboards diff exports across runs; if series order followed dict
+    insertion order, registering the same series in a different order
+    would produce spuriously different text.
     """
 
     @staticmethod
-    def _part(ticks, load):
+    def _registry(reverse):
+        """Three metrics x three PoPs, registered in one order or its
+        reverse."""
         registry = MetricsRegistry()
-        registry.counter("ticks_total").inc(ticks)
-        registry.gauge("load", labelnames=("iface",)).labels(
-            iface="if0"
-        ).set(load)
-        registry.histogram("cycle_seconds").observe(load)
+        kinds = ["counter", "gauge", "histogram"]
+        pops = [("pop-a", 1, 0.1), ("pop-b", 2, 0.2), ("pop-c", 3, 0.3)]
+        if reverse:
+            kinds.reverse()
+            pops.reverse()
+        for kind in kinds:
+            for pop, ticks, load in pops:
+                if kind == "counter":
+                    registry.counter(
+                        "ticks_total", labelnames=("pop",)
+                    ).labels(pop=pop).inc(ticks)
+                elif kind == "gauge":
+                    registry.gauge(
+                        "load", labelnames=("iface", "pop")
+                    ).labels(iface="if0", pop=pop).set(load)
+                else:
+                    registry.histogram(
+                        "cycle_seconds", labelnames=("pop",)
+                    ).labels(pop=pop).observe(load)
         return registry
 
-    def test_merge_order_does_not_change_export(self):
-        parts = [
-            ("pop-a", self._part(1, 0.1)),
-            ("pop-b", self._part(2, 0.2)),
-            ("pop-c", self._part(3, 0.3)),
-        ]
-        forward = MetricsRegistry()
-        for pop, registry in parts:
-            forward.merge(registry, extra_labels={"pop": pop})
-        backward = MetricsRegistry()
-        for pop, registry in reversed(parts):
-            backward.merge(registry, extra_labels={"pop": pop})
+    def test_registration_order_does_not_change_export(self):
+        forward = self._registry(reverse=False)
+        backward = self._registry(reverse=True)
         assert forward.to_prometheus() == backward.to_prometheus()
         assert forward.to_json() == backward.to_json()
         assert forward.snapshot() == backward.snapshot()
-
-    def test_extra_label_insertion_order_is_canonicalized(self):
-        first = MetricsRegistry()
-        first.merge(
-            self._part(1, 0.1), extra_labels={"pop": "a", "site": "x"}
-        )
-        second = MetricsRegistry()
-        second.merge(
-            self._part(1, 0.1), extra_labels={"site": "x", "pop": "a"}
-        )
-        assert first.to_prometheus() == second.to_prometheus()
-        assert first.to_json() == second.to_json()
 
     def test_prometheus_series_sorted_by_label_values(self):
         registry = MetricsRegistry()

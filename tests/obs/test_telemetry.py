@@ -6,8 +6,6 @@ import pickle
 import pytest
 
 from repro.core.pipeline import PopDeployment
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import Telemetry, merge_registries
 
 
 @pytest.fixture(scope="module")
@@ -87,19 +85,3 @@ class TestInstrumentedPipeline:
         )
         assert len(clone.tracer) == len(deployment.telemetry.tracer)
         assert len(clone.audit) == len(deployment.telemetry.audit)
-
-
-class TestMergeRegistries:
-    def test_merge_labels_by_pop(self):
-        parts = []
-        for pop, ticks in (("pop-a", 2), ("pop-b", 3)):
-            telemetry = Telemetry(name=pop)
-            telemetry.registry.counter("pipeline_ticks_total").inc(ticks)
-            parts.append((pop, telemetry.registry))
-        merged = merge_registries(parts)
-        assert isinstance(merged, MetricsRegistry)
-        counter = merged.counter(
-            "pipeline_ticks_total", labelnames=("pop",)
-        )
-        assert counter.value(pop="pop-a") == 2.0
-        assert counter.value(pop="pop-b") == 3.0

@@ -231,6 +231,13 @@ class TestTopCommand:
         assert args.every == 1
         assert not args.plain
 
+    @pytest.mark.parametrize("flag", ["--every", "--pops"])
+    def test_counts_below_one_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["top", flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1, got 0" in capsys.readouterr().err
+
     def test_plain_frames(self, capsys):
         assert main(
             [

@@ -90,7 +90,6 @@ ALLOWED_UNREFERENCED = {
     "netbase/asn.py:inverse": _EXPORTED,
     "netbase/trie.py:covered_by": _EXPORTED,
     "netbase/units.py:surplus_over": _EXPORTED,
-    "topology/scenarios.py:build_fleet": _EXPORTED,
     "core/steering.py:state_of": _PROBE,
     "dataplane/popview.py:has_injected_routes": _PROBE,
     "dataplane/popview.py:resolve_egress": _PROBE,

@@ -8,9 +8,7 @@ from repro.topology.builder import PopSpec, build_pop
 from repro.topology.internet import InternetConfig, InternetTopology
 from repro.topology.scenarios import (
     STUDY_POP_NAMES,
-    build_fleet,
     build_study_pop,
-    default_internet,
     fleet_specs,
     study_pop_spec,
 )
@@ -150,10 +148,3 @@ class TestScenarios:
         specs = fleet_specs(count=8, seed=1)
         names = [spec.name for spec in specs]
         assert len(set(names)) == 8
-
-    def test_build_fleet_small(self):
-        internet = default_internet(seed=9)
-        fleet = build_fleet(count=2, seed=9, internet=internet)
-        assert len(fleet) == 2
-        for wired in fleet.values():
-            assert wired.internet is internet
